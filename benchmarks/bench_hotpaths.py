@@ -9,7 +9,10 @@ These pin the cost of the two inner loops everything else sits on:
   path of experiment E2);
 * single-event subscription matching (the §5.3 substrate hot loop);
 * range-heavy matching, where every subscription carries inequality
-  predicates and the engine cannot lean on the equality hash index;
+  predicates only and the engine runs its counting indexes;
+* selective-equality matching under wide ranges (PR 14): a topic ``EQ``
+  anchors each subscription and the broad ``priority`` / ``price``
+  constraints are checked only for the candidates the topic selects;
 * the cluster layer's sharded / batched publish paths versus sequential
   single-engine publishing (PR 2; see the "Cluster layer" section of
   PERFORMANCE.md);
@@ -39,6 +42,8 @@ PERFORMANCE.md.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from repro.cluster import ShardedMatchingEngine
 from repro.experiments.substrate import make_event, make_subscription
@@ -154,6 +159,53 @@ def test_hp_range_heavy_match(benchmark):
     matched = benchmark(lambda: engine.match(event))
     assert len(matched) > 0
     assert all(sub.matches(event) for sub in matched)
+
+
+def test_hp_selective_eq_wide_range_match(benchmark):
+    """One event against 8k subscriptions: a selective topic ``EQ`` each,
+    30 % with ``priority >= n`` and 50 % with a ``price`` range.
+
+    The shape the paper's automatic subscriptions have.  Counting touched
+    every subscription whose wide range the event satisfied (thousands);
+    the anchor index checks the residual of the ~200 on the event's topic.
+    Each call matches a different event (fresh values, cycling through
+    4096), so no result cache can answer.
+    """
+    rng = SeededRNG(37)
+    topics = [f"topic{i:02d}" for i in range(40)]
+    engine = MatchingEngine()
+    for index in range(8_000):
+        predicates = [Predicate("topic", Operator.EQ, rng.choice(topics))]
+        if rng.random() < 0.3:
+            predicates.append(Predicate("priority", Operator.GE, rng.randint(0, 9)))
+        if rng.random() < 0.5:
+            low = rng.randint(0, 400)
+            predicates.append(Predicate("price", Operator.GE, low))
+            predicates.append(Predicate("price", Operator.LT, low + rng.randint(50, 300)))
+        engine.add(
+            Subscription(
+                event_type="ticker.quote",
+                predicates=tuple(predicates),
+                subscriber=f"trader{index % 100}",
+            )
+        )
+    events = [
+        Event(
+            event_type="ticker.quote",
+            attributes={
+                "topic": rng.choice(topics),
+                "priority": rng.randint(0, 9),
+                "price": round(rng.random() * 700, 3),
+            },
+        )
+        for _ in range(4096)
+    ]
+    cursor = itertools.count()
+
+    matched = benchmark(lambda: engine.match(events[next(cursor) % len(events)]))
+    assert isinstance(matched, list)
+    assert sum(len(engine.match(event)) for event in events[:64]) > 64
+    assert all(sub.matches(events[0]) for sub in engine.match(events[0]))
 
 
 def test_hp_analyzer_cached_reanalysis(benchmark):

@@ -87,6 +87,10 @@ def check_engine_budget(subs: int, results: dict) -> None:
         "subscribe_us": round(subscribe_us, 3),
         "unsubscribe_us": round(unsubscribe_us, 3),
         "distinct_shapes": stats["distinct_shapes"],
+        "index": {
+            name: stats[name]
+            for name in ("anchored", "counting", "anchor_buckets", "largest_anchor_bucket")
+        },
         "pool": predicate_pool().stats(),
     }
 
@@ -236,6 +240,11 @@ def main() -> int:
         ("publish speedup", results["publish"]["speedup"], ">=",
          args.min_publish_speedup),
     ]
+    # Where the population sits: match cost follows the anchor bucket an
+    # event selects, so a skewed access predicate shows here first.
+    print("engine index: " + ", ".join(
+        f"{name}={value}" for name, value in results["engine"]["index"].items()
+    ))
     failures = []
     for name, value, op, limit in budgets:
         ok = value <= limit if op == "<=" else value >= limit

@@ -7,12 +7,12 @@ Usage::
     python benchmarks/run_hotpath_bench.py --label before --import-raw raw.json
 
 Each invocation merges one labeled snapshot (per-test mean/median/stddev
-seconds and round counts) into the output JSON and, whenever a ``before``
-snapshot exists, recomputes every other label's speedup relative to it.
-A ``prN`` label defaults its output to ``BENCH_PRN.json``; when that file
-does not exist yet it is seeded with the snapshots of the most recent
-earlier ``BENCH_PR*.json`` so the perf trajectory stays in one document
-per PR without losing history.
+seconds and round counts) into the output JSON and records its speedup
+relative to the ``before`` snapshot.  A ``prN`` label defaults its output
+to ``BENCH_PRN.json``, which holds that PR's snapshot only: the perf
+trajectory is every ``BENCH_PR*.json`` read in PR order
+(:func:`recorded_snapshots`), not history copied forward from file to
+file (the documents up to PR 10 still carry their predecessors' copies).
 """
 
 from __future__ import annotations
@@ -42,18 +42,19 @@ def output_for_label(label: str) -> str:
     return DEFAULT_OUTPUT
 
 
-def bootstrap_snapshots(output_path: str) -> dict:
-    """Seed a new BENCH_PR*.json with the latest earlier document's data."""
-    candidates = []
+def recorded_snapshots() -> dict:
+    """Every labeled snapshot on disk: the ``BENCH_PR*.json`` documents
+    read in PR order, a later document's copy of a label winning."""
+    documents = []
     for path in glob.glob(os.path.join(REPO_ROOT, "BENCH_PR*.json")):
         match = re.fullmatch(r"BENCH_PR(\d+)\.json", os.path.basename(path))
-        if match and os.path.abspath(path) != os.path.abspath(output_path):
-            candidates.append((int(match.group(1)), path))
-    if not candidates:
-        return {}
-    _, latest = max(candidates)
-    with open(latest) as handle:
-        return json.load(handle).get("snapshots", {})
+        if match:
+            documents.append((int(match.group(1)), path))
+    snapshots: dict = {}
+    for _, path in sorted(documents):
+        with open(path) as handle:
+            snapshots.update(json.load(handle).get("snapshots", {}))
+    return snapshots
 
 
 def run_benchmarks() -> dict:
@@ -113,22 +114,17 @@ def merge(output_path: str, label: str, snapshot: dict) -> dict:
         document = {
             "description": "Hot-path perf trajectory (benchmarks/bench_hotpaths.py); "
             "see PERFORMANCE.md",
-            "snapshots": bootstrap_snapshots(output_path),
+            "snapshots": {},
             "speedups_vs_before": {},
         }
     document["snapshots"][label] = snapshot
-    before = document["snapshots"].get("before")
-    if before:
-        speedups = {}
-        for other_label, other in document["snapshots"].items():
-            if other_label == "before":
-                continue
-            speedups[other_label] = {
-                name: round(before[name]["mean_s"] / stats["mean_s"], 2)
-                for name, stats in other.items()
-                if name in before and stats["mean_s"] > 0
-            }
-        document["speedups_vs_before"] = speedups
+    before = document["snapshots"].get("before") or recorded_snapshots().get("before")
+    if before and label != "before":
+        document["speedups_vs_before"][label] = {
+            name: round(before[name]["mean_s"] / stats["mean_s"], 2)
+            for name, stats in snapshot.items()
+            if name in before and stats["mean_s"] > 0
+        }
     with open(output_path, "w") as out:
         json.dump(document, out, indent=2, sort_keys=True)
         out.write("\n")

@@ -1,35 +1,56 @@
 """Matching engine: which subscriptions match a published event.
 
-Implements the classic counting algorithm used by Gryphon/Siena-style
-brokers: predicates are indexed by (event type, attribute, operator,
-value); when an event arrives, each of its attributes probes the index and
-increments a per-subscription hit counter; subscriptions whose counter
-reaches their predicate count match.
+A subscription is a conjunction of predicates, and the engine keeps two
+populations, chosen by the subscription itself:
+
+* **Anchored** — a conjunction with at least one ``EQ`` predicate (on a
+  non-NaN value) is filed under *exactly one* of them, its **access
+  predicate** (the one whose bucket is smallest when it is added), in a
+  single hash index ``(event type, attribute, value) -> slots``.  The rest
+  of the conjunction is its **residual**, compiled once per shape to
+  ``(attribute, test, expected)`` triples.  An event's own attribute
+  values select the candidate buckets, and only those candidates have
+  their residual evaluated — the access-predicate / clustering scheme of
+  the Gryphon and Le Subscribe line.  Cost per event is proportional to
+  the candidates selected, never to the width of a range bucket, and
+  nothing is cached, so a mutation invalidates nothing.
+* **Counting** — a conjunction with no such predicate (ranges, ``EXISTS``,
+  ``NE``, ``PREFIX``, ``CONTAINS`` only) goes to the classic counting
+  algorithm: each of its predicates is indexed, every event attribute
+  probes the indexes and increments a per-subscription hit counter, and a
+  subscription whose counter reaches its predicate count matches.
+  EXISTS predicates are hash-indexed; numeric LT/LE/GT/GE predicates live
+  in per-(event type, attribute, operator) sorted threshold arrays
+  answered with a ``bisect`` prefix/suffix walk (O(log n + hits) per
+  attribute); the leftover shapes (NE/PREFIX/CONTAINS, ranges over
+  non-numeric values, EQ on NaN) fall back to a per-attribute candidate
+  scan with ``Predicate.matches``.  :class:`BatchMatchCache` and
+  :class:`RouteProbeCache` amortize this population's probes across
+  events; an engine that holds none of it never consults them.
+
+Wildcards (no predicates) match every event of their type.  Every entry
+point returns the union of the three.
 
 Hot-path notes (see PERFORMANCE.md): subscriptions live in dense integer
 slots, and the per-slot bookkeeping is *columnar* — parallel columns for
 the needs-counters, per-event hit counters, interned subscriber ids
-(``array('I')``) and shared conjunction shapes (predicate-id tuples), so
-a million resident subscriptions cost small integers plus one pointer to
-a pooled :class:`SignatureShape` instead of private Python object graphs
-(no per-event ``defaultdict`` and no string hashing in the inner loop;
-the hit/needs columns stay plain lists because ``array`` element access
-boxes a PyLong per probe and costs ~1.5x on the match path).  Equality and EXISTS predicates are
-hash-indexed; numeric LT/LE/GT/GE predicates live in per-(event type,
-attribute, operator) sorted threshold arrays answered with a ``bisect``
-prefix/suffix walk, so range matching is O(log n + hits) per attribute
-instead of a linear scan with ``Predicate.matches`` calls.  Only the
-leftover predicate shapes (NE/PREFIX/CONTAINS and ranges over non-numeric
-values) fall back to a per-attribute candidate scan.  ``remove()`` walks
-just the subscription's own (pooled) distinct predicates.
+(``array('I')``) and the access entry shared by every subscription of
+one shape — so a million resident subscriptions cost small integers and
+pointers into the pool instead of private Python object graphs (the
+hit/needs columns stay plain lists because ``array`` element access boxes
+a PyLong per probe and costs ~1.5x on the counting path).  ``remove()``
+deletes one bucket entry for an anchored subscription and walks just the
+subscription's own (pooled) distinct predicates for a counting one.
 :class:`NaiveMatchingEngine` retains the brute-force linear scan as the
 oracle the property tests compare against.
 """
 
 from __future__ import annotations
 
+import weakref
 from array import array
 from bisect import bisect_left, bisect_right
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.pubsub.events import Event
@@ -37,7 +58,6 @@ from repro.pubsub.subscriptions import (
     PREDICATE_POOL,
     Operator,
     Predicate,
-    SignatureShape,
     Subscription,
 )
 
@@ -56,6 +76,13 @@ _RANGE_PROBES = (
     (Operator.LE, bisect_left, True),
     (Operator.LT, bisect_right, True),
 )
+
+
+#: "The event has no such attribute" (``None`` is a legitimate value).
+_MISSING = object()
+
+#: The one sort key of every match list.
+_by_id = attrgetter("subscription_id")
 
 
 def _is_number(value: object) -> bool:
@@ -101,13 +128,13 @@ class _SingleAttributeView:
 
 
 class MatchingEngine:
-    """Counting-based subscription matcher."""
+    """Access-predicate matcher, counting for conjunctions without an EQ."""
 
     def __init__(self) -> None:
         # Columnar dense-slot storage: parallel columns keyed by slot.
         # Subscription objects are needed for match results; everything
-        # else is small integers or a pointer to the pooled, shared
-        # SignatureShape of the conjunction.  The needs/counts columns are
+        # else is small integers or a pointer into the pool.  The
+        # needs/counts columns (counting population only) are
         # plain lists, NOT array('I'): the probe loop reads and writes
         # them per hit, and array element access boxes/unboxes a PyLong
         # each time (~1.5x slower match), while the pointer overhead of a
@@ -119,13 +146,17 @@ class MatchingEngine:
         # Interned subscriber id per slot (PREDICATE_POOL.subscriber());
         # array('I') is fine here — it is only read per match *result*.
         self._subscriber_ids = array("I")
-        # Shared conjunction shape per slot (carries the distinct
-        # predicate-id tuple); None for uninternable subscriptions.
-        self._shapes: List[Optional[SignatureShape]] = []
+        # The slot's access entry ``(attribute, value, residual)`` —
+        # shared per shape through the pool, so the column costs one
+        # pointer per slot; None for counting slots and wildcards.
+        self._access: List[Optional[tuple]] = []
         self._free_slots: List[int] = []
         self._slot_of: Dict[str, int] = {}
-        # Equality index: (event_type, attribute, value) -> slots.
-        self._eq_index: Dict[Tuple[str, str, object], Set[int]] = {}
+        # Anchor index: (event_type, attribute, value) -> slots filed
+        # under that EQ predicate (each anchored slot is in one bucket).
+        self._anchor_index: Dict[Tuple[str, str, object], Set[int]] = {}
+        # Subscriptions in the four counting indexes below.
+        self._counting = 0
         # EXISTS index: (event_type, attribute) -> slots.
         self._exists_index: Dict[Tuple[str, str], Set[int]] = {}
         # Numeric range indexes: (event_type, attribute, operator) ->
@@ -165,33 +196,47 @@ class MatchingEngine:
         # target agrees with Subscription.matches().  Uninternable
         # subscriptions dedupe by equality as before.
         shape = subscription.interned_shape()
+        event_type = subscription.event_type
+        entry = None
         if shape is None:
             predicates = tuple(dict.fromkeys(subscription.predicates))
         else:
             predicates = shape.predicates
-        slot = self._allocate_slot(subscription, len(predicates), shape)
+            entries = PREDICATE_POOL.access_entries_for(shape)
+            if entries:
+                # File the subscription under one EQ predicate — the one
+                # whose bucket is smallest right now when it has several —
+                # and leave the rest of the conjunction to its residual.
+                entry = entries[0]
+                if len(entries) > 1:
+                    anchor_index = self._anchor_index
+                    entry = min(
+                        entries,
+                        key=lambda e: len(anchor_index.get((event_type, e[0], e[1]), ())),
+                    )
+        slot = self._allocate_slot(subscription, len(predicates), entry)
         self._slot_of[subscription.subscription_id] = slot
 
-        event_type = subscription.event_type
+        if entry is not None:
+            key = (event_type, entry[0], entry[1])
+            bucket = self._anchor_index.get(key)
+            if bucket is None:
+                self._anchor_index[key] = {slot}
+            else:
+                bucket.add(slot)
+            return
         if not predicates:
             self._wildcards.setdefault(event_type, {})[
                 subscription.subscription_id
             ] = subscription
             self._wildcard_cache.pop(event_type, None)
             return
+        self._counting += 1
         for predicate in predicates:
             operator = predicate.operator
-            # A NaN value never equals anything (not even itself), but a
-            # tuple-key hash lookup would match it by identity; keep such
-            # predicates on the Predicate.matches fallback instead.
-            if operator is Operator.EQ and predicate.value == predicate.value:
-                key = (event_type, predicate.attribute, predicate.value)
-                bucket = self._eq_index.get(key)
-                if bucket is None:
-                    self._eq_index[key] = {slot}
-                else:
-                    bucket.add(slot)
-            elif operator is Operator.EXISTS:
+            # The only EQ left here is on NaN, which equals nothing (not
+            # even itself): it takes the Predicate.matches fallback.
+            if operator is Operator.EXISTS:
                 key2 = (event_type, predicate.attribute)
                 bucket2 = self._exists_index.get(key2)
                 if bucket2 is None:
@@ -222,7 +267,7 @@ class MatchingEngine:
         self,
         subscription: Subscription,
         needs: int,
-        shape: Optional[SignatureShape],
+        access: Optional[tuple],
     ) -> int:
         subscriber_id = PREDICATE_POOL.intern_subscriber(subscription.subscriber)
         if self._free_slots:
@@ -230,13 +275,13 @@ class MatchingEngine:
             self._subs[slot] = subscription
             self._needs[slot] = needs
             self._subscriber_ids[slot] = subscriber_id
-            self._shapes[slot] = shape
+            self._access[slot] = access
             return slot
         self._subs.append(subscription)
         self._needs.append(needs)
         self._counts.append(0)
         self._subscriber_ids.append(subscriber_id)
-        self._shapes.append(shape)
+        self._access.append(access)
         return len(self._subs) - 1
 
     def add_many(self, subscriptions: Iterable[Subscription]) -> None:
@@ -250,8 +295,9 @@ class MatchingEngine:
     def remove(self, subscription_id: str) -> bool:
         """Remove a subscription from the index; returns False if unknown.
 
-        Cost is proportional to the subscription's own predicate count (plus
-        an O(log n) bisect locate inside each sorted range array), not to
+        One bucket entry for an anchored subscription; otherwise cost is
+        proportional to the subscription's own predicate count (plus an
+        O(log n) bisect locate inside each sorted range array), not to
         the size of any per-attribute candidate list.
         """
         slot = self._slot_of.pop(subscription_id, None)
@@ -261,28 +307,33 @@ class MatchingEngine:
         subscription = self._subs[slot]
         assert subscription is not None
         event_type = subscription.event_type
-        shape = self._shapes[slot]
-        if shape is None:
-            predicates = tuple(dict.fromkeys(subscription.predicates))
+        # What the counting indexes hold of it: nothing when it is anchored.
+        predicates: Tuple[Predicate, ...] = ()
+        entry = self._access[slot]
+        if entry is not None:
+            key = (event_type, entry[0], entry[1])
+            bucket = self._anchor_index[key]
+            bucket.discard(slot)
+            if not bucket:
+                del self._anchor_index[key]
         else:
-            predicates = shape.predicates
-        if not predicates:
-            wildcards = self._wildcards.get(event_type)
-            if wildcards is not None:
-                wildcards.pop(subscription_id, None)
-                if not wildcards:
-                    del self._wildcards[event_type]
-            self._wildcard_cache.pop(event_type, None)
+            shape = subscription.interned_shape()
+            if shape is None:
+                predicates = tuple(dict.fromkeys(subscription.predicates))
+            else:
+                predicates = shape.predicates
+            if predicates:
+                self._counting -= 1
+            else:
+                wildcards = self._wildcards.get(event_type)
+                if wildcards is not None:
+                    wildcards.pop(subscription_id, None)
+                    if not wildcards:
+                        del self._wildcards[event_type]
+                self._wildcard_cache.pop(event_type, None)
         for predicate in predicates:
             operator = predicate.operator
-            if operator is Operator.EQ and predicate.value == predicate.value:
-                key = (event_type, predicate.attribute, predicate.value)
-                bucket = self._eq_index.get(key)
-                if bucket is not None:
-                    bucket.discard(slot)
-                    if not bucket:
-                        del self._eq_index[key]
-            elif operator is Operator.EXISTS:
+            if operator is Operator.EXISTS:
                 key2 = (event_type, predicate.attribute)
                 bucket2 = self._exists_index.get(key2)
                 if bucket2 is not None:
@@ -315,7 +366,7 @@ class MatchingEngine:
         self._subs[slot] = None
         self._needs[slot] = 0
         self._subscriber_ids[slot] = 0
-        self._shapes[slot] = None
+        self._access[slot] = None
         self._free_slots.append(slot)
         return True
 
@@ -356,42 +407,70 @@ class MatchingEngine:
 
     # -- matching ----------------------------------------------------------
 
+    def _anchored_hits(self, event: Event, first_only: bool = False) -> List[Subscription]:
+        """Anchored subscriptions matching ``event``, in no particular order.
+
+        Each attribute value of the event selects at most one bucket of
+        the anchor index; a candidate in it matches when every predicate
+        of its residual holds, with the semantics of
+        :meth:`Predicate.matches` (attribute present, and a comparison
+        that raises ``TypeError`` is false).  ``first_only`` returns at
+        the first hit.  An unhashable attribute value raises ``TypeError``.
+        """
+        hits: List[Subscription] = []
+        buckets = self._anchor_index
+        access = self._access
+        subs = self._subs
+        event_type = event.event_type
+        attributes = event.attributes
+        get = attributes.get
+        for name, value in attributes.items():
+            bucket = buckets.get((event_type, name, value))
+            if not bucket:
+                continue
+            for slot in bucket:
+                residual = access[slot][2]
+                try:
+                    for attribute, test, expected in residual:
+                        actual = get(attribute, _MISSING)
+                        if actual is _MISSING or not test(actual, expected):
+                            break
+                    else:
+                        hits.append(subs[slot])
+                        if first_only:
+                            return hits
+                except TypeError:
+                    pass
+        return hits
+
     def _count_hits(self, event: Event) -> List[int]:
         """Increment per-slot hit counters for every probe the event fires.
 
-        Returns the list of touched slots; the caller MUST reset
-        ``self._counts[slot]`` to zero for each before returning.
+        Returns the list of touched slots; the caller (:meth:`_counted`)
+        MUST reset ``self._counts[slot]`` to zero for each before returning.
         """
         counts = self._counts
         touched: List[int] = []
         append = touched.append
         event_type = event.event_type
-        eq_index = self._eq_index
         exists_index = self._exists_index
         range_index = self._range_index
         other_index = self._other_index
         try:
-            self._probe(event, counts, append, event_type, eq_index,
+            self._probe(event, counts, append, event_type,
                         exists_index, range_index, other_index)
         except BaseException:
             # The counters are shared across calls; a probe that raises
-            # (e.g. an unhashable attribute value) must not leave them
-            # dirty, or the touched subscriptions could never match again.
+            # must not leave them dirty, or the touched subscriptions
+            # could never match again.
             for slot in touched:
                 counts[slot] = 0
             raise
         return touched
 
-    def _probe(self, event, counts, append, event_type, eq_index,
+    def _probe(self, event, counts, append, event_type,
                exists_index, range_index, other_index) -> None:
         for name, value in event.attributes.items():
-            bucket = eq_index.get((event_type, name, value))
-            if bucket:
-                for slot in bucket:
-                    count = counts[slot] + 1
-                    counts[slot] = count
-                    if count == 1:
-                        append(slot)
             exists_bucket = exists_index.get((event_type, name))
             if exists_bucket:
                 for slot in exists_bucket:
@@ -420,45 +499,45 @@ class MatchingEngine:
                         if count == 1:
                             append(slot)
 
+    def _counted(self, event: Event) -> List[Subscription]:
+        """The counting population's matches for ``event``, unordered."""
+        counts = self._counts
+        needs = self._needs
+        subs = self._subs
+        matched: List[Subscription] = []
+        for slot in self._count_hits(event):
+            if counts[slot] >= needs[slot]:
+                matched.append(subs[slot])
+            counts[slot] = 0
+        return matched
+
     def _wildcard_list(self, event_type: str) -> List[Subscription]:
         cached = self._wildcard_cache.get(event_type)
         if cached is None:
             wildcards = self._wildcards.get(event_type)
             if not wildcards:
                 return []
-            cached = sorted(
-                wildcards.values(), key=lambda subscription: subscription.subscription_id
-            )
+            cached = sorted(wildcards.values(), key=_by_id)
             self._wildcard_cache[event_type] = cached
         return cached
 
     def match(self, event: Event) -> List[Subscription]:
         """Return all subscriptions matching ``event`` (sorted by id)."""
-        touched = self._count_hits(event)
-        counts = self._counts
-        needs = self._needs
-        subs = self._subs
-        matched: List[Subscription] = []
-        for slot in touched:
-            if counts[slot] >= needs[slot]:
-                matched.append(subs[slot])
-            counts[slot] = 0
+        matched = self._anchored_hits(event)
+        if self._counting:
+            matched.extend(self._counted(event))
         wildcards = self._wildcard_list(event.event_type)
         if wildcards:
             matched.extend(wildcards)
-        matched.sort(key=lambda subscription: subscription.subscription_id)
+        if len(matched) > 1:
+            matched.sort(key=_by_id)
         return matched
 
     def match_count(self, event: Event) -> int:
-        """Number of matching subscriptions, without building the list."""
-        touched = self._count_hits(event)
-        counts = self._counts
-        needs = self._needs
-        matches = 0
-        for slot in touched:
-            if counts[slot] >= needs[slot]:
-                matches += 1
-            counts[slot] = 0
+        """Number of matching subscriptions, without sorting the list."""
+        matches = len(self._anchored_hits(event))
+        if self._counting:
+            matches += len(self._counted(event))
         wildcards = self._wildcards.get(event.event_type)
         if wildcards:
             matches += len(wildcards)
@@ -469,23 +548,18 @@ class MatchingEngine:
 
         Used on the broker forwarding path, where only the boolean matters.
         """
-        wildcards = self._wildcards.get(event.event_type)
-        if wildcards:
+        if self._wildcards.get(event.event_type) or self._anchored_hits(event, True):
             return True
-        touched = self._count_hits(event)
-        counts = self._counts
-        needs = self._needs
-        found = False
-        for slot in touched:
-            if counts[slot] >= needs[slot]:
-                found = True
-            counts[slot] = 0
-        return found
+        return bool(self._counting and self._counted(event))
 
     def matches_any_cached(self, event: Event, cache: "RouteProbeCache") -> bool:
         """:meth:`matches_any` with cross-event probe tables.
 
-        Same boolean as :meth:`matches_any`, but the per-``(event_type,
+        Same boolean (and the same ``TypeError`` on an unhashable
+        attribute value) as :meth:`matches_any`: wildcards and anchored
+        subscriptions answer first, without touching ``cache``, and an
+        engine with nothing in its counting indexes never consults it.
+        For the counting population the per-``(event_type,
         attribute, value)`` probe contributions are cached in ``cache``
         across calls (dropped whenever :attr:`mutation_version` moves), as
         a slot -> contribution-count dict plus a "some subscription is
@@ -501,19 +575,18 @@ class MatchingEngine:
         drawn from every contributing item *except* the largest and probed
         into the rest — O(small buckets) instead of O(all touched slots).
         """
-        if self._wildcards.get(event.event_type):
+        if self._wildcards.get(event.event_type) or self._anchored_hits(event, True):
             return True
+        if not self._counting:
+            return False
         items = cache.table_for(self)
         needs = self._needs
         event_type = event.event_type
         contributing: List[Dict[int, int]] = []
         for name, value in event.attributes.items():
+            # Hashable: the anchored probe above hashed every value.
             key = (event_type, name, value)
-            try:
-                entry = items.get(key)
-            except TypeError:
-                # Unhashable attribute value: uncacheable event.
-                return self.matches_any(event)
+            entry = items.get(key)
             if entry is None:
                 slot_counts: Dict[int, int] = {}
                 for slot in self._probe_item(event_type, name, value):
@@ -571,6 +644,7 @@ class MatchingEngine:
 
     def column_stats(self) -> Dict[str, int]:
         """Sizes of the columnar storage (for the scale benchmarks)."""
+        anchor_buckets = self._anchor_index.values()
         return {
             "slots": len(self._subs),
             "free_slots": len(self._free_slots),
@@ -579,7 +653,17 @@ class MatchingEngine:
             "counts_bytes": 8 * len(self._counts),
             "subscriber_id_bytes": self._subscriber_ids.itemsize
             * len(self._subscriber_ids),
-            "distinct_shapes": len({id(s) for s in self._shapes if s is not None}),
+            "distinct_shapes": len(
+                {sub.signature_id() for sub in self._subs if sub is not None} - {None}
+            ),
+            # Which population the subscriptions joined.  A skewed access
+            # predicate (everyone on one topic) shows as one anchor bucket
+            # holding most of ``anchored``: every event carrying that
+            # value checks the residual of the whole bucket.
+            "anchored": sum(map(len, anchor_buckets)),
+            "counting": self._counting,
+            "anchor_buckets": len(anchor_buckets),
+            "largest_anchor_bucket": max(map(len, anchor_buckets), default=0),
         }
 
     # -- batched matching --------------------------------------------------
@@ -588,16 +672,13 @@ class MatchingEngine:
         """Slots whose hit counter one (name, value) attribute increments.
 
         The returned list carries one entry per count contribution (a slot
-        with both an EQ and an EXISTS predicate on the attribute appears
+        with both a GE and an EXISTS predicate on the attribute appears
         twice), so summing item contributions reproduces exactly what
         :meth:`_probe` does for a full event.  Probe results are a pure
         function of engine state and ``(event_type, name, value)``, which
         is what lets :meth:`match_batch` cache them across a batch.
         """
         slots_out: List[int] = []
-        bucket = self._eq_index.get((event_type, name, value))
-        if bucket:
-            slots_out.extend(bucket)
         exists_bucket = self._exists_index.get((event_type, name))
         if exists_bucket:
             slots_out.extend(exists_bucket)
@@ -621,23 +702,24 @@ class MatchingEngine:
     def match_batch(self, events: Sequence[Event]) -> List[List[Subscription]]:
         """Match a batch of events; returns one sorted match list per event.
 
-        Semantically identical to ``[self.match(e) for e in events]`` but
-        amortizes probe work across the batch:
+        Semantically identical to ``[self.match(e) for e in events]``.
+        Anchored subscriptions are matched per event (their cost is
+        already proportional to the candidates the event selects); the
+        counting population amortizes probe work across the batch:
 
         * per-item probe results (the slot contributions of one
           ``(event_type, attribute, value)`` triple) are computed once per
           distinct triple instead of once per event, which also skips the
           per-event slice copies of the sorted range indexes;
-        * the final match list is cached per distinct *contributing* probe
-          signature, so events differing only in attributes no subscription
-          constrains resolve to a cached result without touching counters.
+        * its matches are cached per distinct *contributing* probe
+          signature, so events differing only in attributes no counting
+          subscription constrains resolve to a cached result without
+          touching counters.
 
         The engine must not be mutated while a batch is in flight (the
         per-call caches assume stable indexes).
         """
-        item_slots: Dict[Tuple[str, str, object], Tuple[int, ...]] = {}
-        result_cache: Dict[Tuple[str, Tuple], Tuple[Subscription, ...]] = {}
-        return self._match_batch(events, item_slots, result_cache)
+        return self._match_batch(events, {}, {})
 
     def match_batch_cached(
         self, events: Sequence[Event], cache: "BatchMatchCache"
@@ -645,14 +727,16 @@ class MatchingEngine:
         """:meth:`match_batch` with probe/result tables that outlive the call.
 
         ``cache`` keeps the per-triple probe slots and per-signature match
-        results across batches, and drops them whenever
-        :attr:`mutation_version` moves, so steady-state traffic with a
-        stable subscription population amortizes probe work across the
-        whole stream instead of one batch.  Semantics are identical to
-        :meth:`match_batch` (and therefore to ``match`` in a loop).
+        results of the counting population across batches, and drops them
+        whenever :attr:`mutation_version` moves, so steady-state traffic
+        with a stable subscription population amortizes probe work across
+        the whole stream instead of one batch; an engine with nothing in
+        its counting indexes never consults it.  Semantics are identical
+        to :meth:`match_batch` (and therefore to ``match`` in a loop).
         """
-        item_slots, result_cache = cache.tables_for(self)
-        return self._match_batch(events, item_slots, result_cache)
+        if not self._counting:
+            return self._match_batch(events, {}, {})
+        return self._match_batch(events, *cache.tables_for(self))
 
     def _match_batch(
         self,
@@ -660,52 +744,66 @@ class MatchingEngine:
         item_slots: Dict[Tuple[str, str, object], Tuple[int, ...]],
         result_cache: Dict[Tuple[str, Tuple], Tuple[Subscription, ...]],
     ) -> List[List[Subscription]]:
-        counts = self._counts
-        needs = self._needs
-        subs = self._subs
+        counting = self._counting
         results: List[List[Subscription]] = []
         for event in events:
-            event_type = event.event_type
-            signature: List[Tuple[str, str, object]] = []
-            for name, value in event.attributes.items():
-                key = (event_type, name, value)
-                slots = item_slots.get(key)
-                if slots is None:
-                    slots = tuple(self._probe_item(event_type, name, value))
-                    item_slots[key] = slots
-                if slots:
-                    signature.append(key)
-            # Attribute names are unique within an event, so ordering by
-            # (event_type, name) prefixes never compares the values.
-            signature.sort()
-            cache_key = (event_type, tuple(signature))
-            cached = result_cache.get(cache_key)
-            if cached is None:
-                touched: List[int] = []
-                try:
-                    for key in signature:
-                        for slot in item_slots[key]:
-                            count = counts[slot] + 1
-                            counts[slot] = count
-                            if count == 1:
-                                touched.append(slot)
-                except BaseException:
-                    for slot in touched:
-                        counts[slot] = 0
-                    raise
-                matched: List[Subscription] = []
-                for slot in touched:
-                    if counts[slot] >= needs[slot]:
-                        matched.append(subs[slot])
-                    counts[slot] = 0
-                wildcards = self._wildcard_list(event_type)
-                if wildcards:
-                    matched.extend(wildcards)
-                matched.sort(key=lambda subscription: subscription.subscription_id)
-                cached = tuple(matched)
-                result_cache[cache_key] = cached
-            results.append(list(cached))
+            matched = self._anchored_hits(event)
+            if counting:
+                matched.extend(self._counted_cached(event, item_slots, result_cache))
+            wildcards = self._wildcard_list(event.event_type)
+            if wildcards:
+                matched.extend(wildcards)
+            if len(matched) > 1:
+                matched.sort(key=_by_id)
+            results.append(matched)
         return results
+
+    def _counted_cached(
+        self,
+        event: Event,
+        item_slots: Dict[Tuple[str, str, object], Tuple[int, ...]],
+        result_cache: Dict[Tuple[str, Tuple], Tuple[Subscription, ...]],
+    ) -> Tuple[Subscription, ...]:
+        """The counting population's matches for ``event``, through (and
+        filling) the two tables of :meth:`match_batch`."""
+        event_type = event.event_type
+        signature: List[Tuple[str, str, object]] = []
+        for name, value in event.attributes.items():
+            key = (event_type, name, value)
+            slots = item_slots.get(key)
+            if slots is None:
+                slots = tuple(self._probe_item(event_type, name, value))
+                item_slots[key] = slots
+            if slots:
+                signature.append(key)
+        # Attribute names are unique within an event, so ordering by
+        # (event_type, name) prefixes never compares the values.
+        signature.sort()
+        cache_key = (event_type, tuple(signature))
+        cached = result_cache.get(cache_key)
+        if cached is None:
+            counts = self._counts
+            needs = self._needs
+            subs = self._subs
+            touched: List[int] = []
+            try:
+                for key in signature:
+                    for slot in item_slots[key]:
+                        count = counts[slot] + 1
+                        counts[slot] = count
+                        if count == 1:
+                            touched.append(slot)
+            except BaseException:
+                for slot in touched:
+                    counts[slot] = 0
+                raise
+            matched: List[Subscription] = []
+            for slot in touched:
+                if counts[slot] >= needs[slot]:
+                    matched.append(subs[slot])
+                counts[slot] = 0
+            cached = result_cache[cache_key] = tuple(matched)
+        return cached
 
 
 class BatchMatchCache:
@@ -720,11 +818,14 @@ class BatchMatchCache:
     the cache without limit (overflow clears, it does not evict).
     """
 
-    __slots__ = ("_engine_id", "_version", "_item_slots", "_result_cache",
+    __slots__ = ("_engine", "_version", "_item_slots", "_result_cache",
                  "max_entries", "resets")
 
     def __init__(self, max_entries: int = 65536) -> None:
-        self._engine_id: Optional[int] = None
+        # A weak reference, compared by identity: ``id()`` values are
+        # reused once an engine is collected, and a new engine at the old
+        # address with the same mutation count would inherit the tables.
+        self._engine: Optional[weakref.ref] = None
         self._version = -1
         self._item_slots: Dict[Tuple[str, str, object], Tuple[int, ...]] = {}
         self._result_cache: Dict[Tuple[str, Tuple], Tuple[Subscription, ...]] = {}
@@ -734,11 +835,12 @@ class BatchMatchCache:
     def tables_for(self, engine: "MatchingEngine") -> Tuple[dict, dict]:
         version = engine.mutation_version
         if (
-            self._engine_id != id(engine)
+            self._engine is None
+            or self._engine() is not engine
             or self._version != version
             or len(self._item_slots) + len(self._result_cache) > self.max_entries
         ):
-            self._engine_id = id(engine)
+            self._engine = weakref.ref(engine)
             self._version = version
             self._item_slots = {}
             self._result_cache = {}
@@ -760,10 +862,11 @@ class RouteProbeCache:
     (overflow clears, it does not evict).
     """
 
-    __slots__ = ("_engine_id", "_version", "_items", "max_entries", "resets")
+    __slots__ = ("_engine", "_version", "_items", "max_entries", "resets")
 
     def __init__(self, max_entries: int = 65536) -> None:
-        self._engine_id: Optional[int] = None
+        # Weak, compared by identity (see BatchMatchCache).
+        self._engine: Optional[weakref.ref] = None
         self._version = -1
         self._items: Dict[Tuple[str, str, object], Tuple[Dict[int, int], bool]] = {}
         self.max_entries = max_entries
@@ -772,11 +875,12 @@ class RouteProbeCache:
     def table_for(self, engine: "MatchingEngine") -> Dict:
         version = engine.mutation_version
         if (
-            self._engine_id != id(engine)
+            self._engine is None
+            or self._engine() is not engine
             or self._version != version
             or len(self._items) > self.max_entries
         ):
-            self._engine_id = id(engine)
+            self._engine = weakref.ref(engine)
             self._version = version
             self._items = {}
             self.resets += 1
@@ -827,7 +931,7 @@ class NaiveMatchingEngine:
             for subscription in self._subscriptions.values()
             if subscription.matches(event)
         ]
-        matched.sort(key=lambda subscription: subscription.subscription_id)
+        matched.sort(key=_by_id)
         return matched
 
     def match_count(self, event: Event) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import (
     Dict,
@@ -225,6 +226,57 @@ def _compute_covering_probes(
     return tuple(enumerated) if enumerated is not None else None
 
 
+def _always(actual: object, expected: object) -> bool:
+    return True
+
+
+def _has_prefix(actual: object, expected: object) -> bool:
+    return isinstance(actual, str) and actual.startswith(str(expected))
+
+
+def _contains(actual: object, expected: object) -> bool:
+    return isinstance(actual, str) and str(expected) in actual
+
+
+#: ``test(actual, expected)`` per operator, for an attribute the event
+#: carries: the same comparison :meth:`Predicate.matches` makes (which
+#: stays an independent if-chain — it is the oracle's definition), with a
+#: ``TypeError`` left to the caller to read as "no match".
+_OPERATOR_TESTS = {
+    Operator.EQ: operator.eq,
+    Operator.NE: operator.ne,
+    Operator.LT: operator.lt,
+    Operator.LE: operator.le,
+    Operator.GT: operator.gt,
+    Operator.GE: operator.ge,
+    Operator.PREFIX: _has_prefix,
+    Operator.CONTAINS: _contains,
+    Operator.EXISTS: _always,
+}
+
+
+def _compute_access_entries(
+    predicates: Tuple["Predicate", ...],
+) -> Tuple[Tuple[str, AttributeValue, Tuple], ...]:
+    """One ``(attribute, value, residual)`` entry per predicate of a
+    distinct conjunction that can be its *access predicate* in
+    :class:`~repro.pubsub.matching.MatchingEngine`: an ``EQ`` whose value
+    is not NaN (NaN equals nothing, but a hash lookup would find it by
+    identity).  ``residual`` is every other predicate compiled to
+    ``(attribute, test, expected)`` over :data:`_OPERATOR_TESTS`.
+    """
+    entries = []
+    for index, predicate in enumerate(predicates):
+        value = predicate.value
+        if predicate.operator is Operator.EQ and value == value:
+            residual = tuple(
+                (other.attribute, _OPERATOR_TESTS[other.operator], other.value)
+                for other in predicates[:index] + predicates[index + 1:]
+            )
+            entries.append((predicate.attribute, value, residual))
+    return tuple(entries)
+
+
 class SignatureShape(NamedTuple):
     """One interned conjunction signature shared by every subscription
     whose distinct predicate set (and event type) is identical."""
@@ -256,7 +308,7 @@ class PredicatePool:
 
     __slots__ = ("_predicate_ids", "_predicates", "_signature_ids", "_shapes",
                  "_subscriber_ids", "_subscribers", "_covering_keys",
-                 "_covering_probes", "_shape_cache")
+                 "_covering_probes", "_access_entries", "_shape_cache")
 
     def __init__(self) -> None:
         self._predicate_ids: Dict[Predicate, int] = {}
@@ -269,6 +321,8 @@ class PredicatePool:
         # computed once per shape, shared by every subscription on it.
         self._covering_keys: Dict[int, object] = {}
         self._covering_probes: Dict[int, object] = {}
+        # Likewise the matching engine's access-predicate candidates.
+        self._access_entries: Dict[int, Tuple] = {}
         # Literal (event_type, predicates tuple) -> shape.  Predicates are
         # already canonical pooled instances with cached hashes by the
         # time shapes are looked up, so this turns the common repeat
@@ -363,6 +417,16 @@ class PredicatePool:
             probes = _compute_covering_probes(self.covering_key_for(shape))
             self._covering_probes[shape.signature_id] = probes
         return probes
+
+    def access_entries_for(self, shape: SignatureShape) -> Tuple:
+        """Shared access-predicate candidates (with their residuals) for
+        every subscription on ``shape`` (see
+        :func:`_compute_access_entries`); empty when it has none."""
+        entries = self._access_entries.get(shape.signature_id)
+        if entries is None:
+            entries = _compute_access_entries(shape.predicates)
+            self._access_entries[shape.signature_id] = entries
+        return entries
 
     # -- subscribers --------------------------------------------------------
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ir.index import InvertedIndex
 from repro.ir.ranking import (
@@ -22,7 +24,12 @@ from repro.ir.ranking import (
     naive_tfidf_score_all,
 )
 from repro.pubsub.events import Event
-from repro.pubsub.matching import MatchingEngine, NaiveMatchingEngine
+from repro.pubsub.matching import (
+    BatchMatchCache,
+    MatchingEngine,
+    NaiveMatchingEngine,
+    RouteProbeCache,
+)
 from repro.pubsub.subscriptions import Operator, Predicate, Subscription
 from repro.sim.rng import SeededRNG
 
@@ -145,11 +152,126 @@ class TestMatchingEquivalence:
         assert len(engine) == 0
         assert engine.match(_random_event(rng)) == []
         # Internal structures fully drained (no leaked candidate entries).
-        assert not engine._eq_index
+        assert not engine._anchor_index
         assert not engine._exists_index
         assert not engine._range_index
         assert not engine._other_index
         assert not engine._wildcards
+
+
+# ---------------------------------------------------------------------------
+# Access-predicate index: mixed populations, every entry point, every step
+# ---------------------------------------------------------------------------
+
+NAN = float("nan")
+# Hash-equal values of different types (1 / 1.0 / True, 0 / False), strings
+# that look like numbers, and NaN: buckets collide and comparisons cross types.
+MIXED_VALUES = [1, 1.0, True, 0, False, 2, 2.5, -1, "a", "ab", "b", "1", NAN]
+MIXED_ATTRIBUTES = ["a", "b", "c", "d"]
+NON_EQ_OPERATORS = [op for op in Operator if op is not Operator.EQ]
+
+
+def _mixed_predicate(rng: SeededRNG, operator: Operator) -> Predicate:
+    attribute = rng.choice(MIXED_ATTRIBUTES)
+    if operator is Operator.EXISTS:
+        return Predicate(attribute, operator)
+    return Predicate(attribute, operator, rng.choice(MIXED_VALUES))
+
+
+def _mixed_subscription(rng: SeededRNG, subscription_id: str) -> Subscription:
+    """A wildcard, an EQ-free conjunction, or one with 1-3 EQ predicates
+    (so the access predicate is a choice); sometimes with a duplicate."""
+    kind = rng.random()
+    if kind < 0.15:
+        predicates = []
+    elif kind < 0.45:
+        predicates = [
+            _mixed_predicate(rng, rng.choice(NON_EQ_OPERATORS))
+            for _ in range(rng.randint(1, 3))
+        ]
+    else:
+        predicates = [
+            _mixed_predicate(rng, Operator.EQ) for _ in range(rng.randint(1, 3))
+        ] + [
+            _mixed_predicate(rng, rng.choice(NON_EQ_OPERATORS))
+            for _ in range(rng.randint(0, 2))
+        ]
+    if predicates and rng.random() < 0.2:
+        predicates.append(rng.choice(predicates))
+    rng.shuffle(predicates)
+    return Subscription(
+        event_type=rng.choice(EVENT_TYPES[:2]),
+        predicates=tuple(predicates),
+        subscriber=f"user{rng.randint(0, 5)}",
+        subscription_id=subscription_id,
+    )
+
+
+def _mixed_event(rng: SeededRNG) -> Event:
+    attributes = {
+        attribute: rng.choice(MIXED_VALUES)
+        for attribute in MIXED_ATTRIBUTES
+        if rng.random() < 0.6
+    }
+    return Event(event_type=rng.choice(EVENT_TYPES[:2]), attributes=attributes)
+
+
+def check_mixed_population(seed: int, steps: int) -> None:
+    """Drive MatchingEngine and the oracle through ``steps`` mutations drawn
+    from ``SeededRNG(seed)`` and compare all seven entry points after each.
+
+    Ids come from a pool of 24, so an ``add`` is often a re-add whose new
+    definition moves the id between the anchored, counting and wildcard
+    populations, and removals free slots that later adds reuse.  Both probe
+    caches live for the whole run, across every mutation.
+    """
+    repro = f"repro: check_mixed_population(seed={seed}, steps={steps})"
+    rng = SeededRNG(seed)
+    fast, naive = MatchingEngine(), NaiveMatchingEngine()
+    route_cache, batch_cache = RouteProbeCache(), BatchMatchCache()
+    for step in range(steps):
+        subscription_id = f"s{rng.randint(0, 23):02d}"
+        if rng.random() < 0.3:
+            assert fast.remove(subscription_id) == naive.remove(subscription_id), repro
+        else:
+            subscription = _mixed_subscription(rng, subscription_id)
+            fast.add(subscription)
+            naive.add(subscription)
+        where = f"step {step}; {repro}"
+        assert len(fast) == len(naive), where
+        assert all(fast._anchor_index.values()), f"empty bucket kept at {where}"
+        stats = fast.column_stats()
+        wildcards = sum(1 for s in naive.subscriptions() if not s.predicates)
+        assert stats["anchored"] + stats["counting"] + wildcards == len(naive), where
+
+        events = [_mixed_event(rng) for _ in range(3)]
+        expected = [naive.match(event) for event in events]
+        assert fast.match_batch(events) == expected, where
+        assert fast.match_batch_cached(events, batch_cache) == expected, where
+        for event, matched in zip(events, expected):
+            assert fast.match(event) == matched, where
+            assert fast.match_count(event) == len(matched), where
+            assert fast.matches_any(event) == bool(matched), where
+            assert fast.matches_any_cached(event, route_cache) == bool(matched), where
+            assert fast.match_subscribers(event) == naive.match_subscribers(event), where
+
+    for subscription in naive.subscriptions():
+        assert fast.remove(subscription.subscription_id), repro
+    assert len(fast) == 0, repro
+    for index in (fast._anchor_index, fast._exists_index, fast._range_index,
+                  fast._other_index, fast._wildcards):
+        assert not index, repro
+
+
+class TestAccessIndexEquivalence:
+    @pytest.mark.parametrize("seed", [0, 14, 2006])
+    def test_fixed_seeds(self, seed):
+        check_mixed_population(seed, steps=120)
+
+    @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 60))
+    @settings(max_examples=40, deadline=None)
+    def test_random_seeds(self, seed, steps):
+        check_mixed_population(seed, steps)
 
 
 # ---------------------------------------------------------------------------
