@@ -34,7 +34,11 @@ These pin the cost of the two inner loops everything else sits on:
 * the batched data plane: ``publish_many`` through the routed cluster
   (one mailbox entry per batch, cached route sets, coalesced per-link
   forwards) versus the sequential per-event publish at 10k+ events
-  (PR 8; see "Data plane").
+  (PR 8; see "Data plane");
+* the wire codec's share of one broker hop: a 32-member ``forward_batch``
+  decoded, validated and re-emitted as the onward batch plus 32 ``event``
+  pushes, with the event members spliced from the received bytes
+  (PR 15; see "Wire transport / Encode once").
 
 Run ``python benchmarks/run_hotpath_bench.py --label <name>`` to record a
 named snapshot (``prN`` labels land in ``BENCH_PRN.json``); see
@@ -798,3 +802,46 @@ def test_hp_batch_subscribe_vs_loop(benchmark):
             "speedup": round(loop_s / batch_s, 2) if batch_s else None,
         }
     )
+
+
+def test_hp_wire_hop_codec(benchmark):
+    """The codec work of one transit hop, no sockets (PR 15).
+
+    One received 32-member ``forward_batch`` payload is decoded,
+    ``decode_event`` validates each member, and the hop builds what it
+    would send on: the onward ``forward_batch`` frame and 32 ``event``
+    frames.  The inbound frame is built from decoded events, as a real
+    upstream broker would build it.
+    """
+    from repro.net import wire
+
+    events = [
+        Event(
+            "bench.event",
+            {"topic": f"topic-{index:05d}", "source": f"src-{index % 16:02d}"},
+            event_id=f"e-{index:07d}",
+        )
+        for index in range(32)
+    ]
+    subscription_ids = ["s-0000001", "s-0000002"]
+    (payload,) = wire.FrameDecoder().feed(
+        wire.forward_batch_frame([(event, 1, 1234.5678) for event in events])
+    )
+
+    def hop():
+        members = [
+            (wire.decode_event(item[0]), item[1] + 1, item[2])
+            for item in wire.decode_payload(payload).body["members"]
+        ]
+        frames = [wire.forward_batch_frame(members)]
+        for event, hops, origin_ts in members:
+            frames.append(wire.event_frame(event, subscription_ids, origin_ts, hops))
+        return frames
+
+    frames = benchmark(hop)
+    assert len(frames) == 33
+    assert frames[0] == wire.forward_batch_frame(
+        [(event, 2, 1234.5678) for event in events]
+    )
+    assert frames[1] == wire.event_frame(events[0], subscription_ids, 1234.5678, 2)
+    benchmark.extra_info.update({"members": 32, "frames_out": len(frames)})

@@ -5,9 +5,10 @@ process — throughput and latency numbers were *modeled*.  ``repro.net``
 gives the same routing fabric an asyncio TCP face so they can be
 *measured*:
 
-* :mod:`repro.net.msgpack_lite` — a dependency-free msgpack codec
-  (wire-compatible with the ``msgpack`` package, used automatically when
-  that package is installed);
+* :mod:`repro.net.msgpack_lite` — the transport's one codec: a
+  dependency-free msgpack implementation (spec-exact for the types the
+  protocol uses) whose decoded maps remember their bytes, so brokers
+  forward an event's original encoding instead of rebuilding it;
 * :mod:`repro.net.wire` — the typed message protocol: length-prefixed
   frames with a protocol version byte, request ids for acks, and a pure
   codec layer round-tripping ``Subscription`` / ``FilterExpr`` / event IR;

@@ -239,14 +239,22 @@ class BrokerClient:
                     BrokerReplyError("nack", str(body.get("error"))),
                 )
         elif message.msg_type == "event":
-            event = wire.decode_event(message.body["event"])
-            delivery = Delivery(
-                event=event,
-                subscription_ids=tuple(message.body.get("subs", ())),
-                origin_ts=float(message.body.get("ots", 0.0) or 0.0),
-                hops=int(message.body.get("hops", 0) or 0),
-                received_at=time.monotonic(),
-            )
+            body = message.body
+            subscription_ids = body.get("subs", ())
+            if not isinstance(subscription_ids, (list, tuple)):
+                return
+            try:
+                delivery = Delivery(
+                    event=wire.decode_event(body.get("event")),
+                    subscription_ids=tuple(subscription_ids),
+                    origin_ts=wire.decode_origin_ts(body.get("ots", 0.0)),
+                    hops=wire.decode_hops(body.get("hops", 0)),
+                    received_at=time.monotonic(),
+                )
+            except ProtocolError:
+                # A malformed push is skipped like an undecodable frame;
+                # the session and its read loop carry on.
+                return
             try:
                 self._events.put_nowait(delivery)
             except asyncio.QueueFull:

@@ -1,11 +1,12 @@
 """Dependency-free msgpack codec (the subset the wire protocol needs).
 
 The wire protocol frames are msgpack maps/arrays of strings, numbers,
-booleans, ``None`` and byte strings.  When the real ``msgpack`` package is
-installed it is used directly (same bytes on the wire); this module is the
-fallback so the transport works on a bare Python install.  The encoding
-follows the msgpack spec exactly for the supported types, so frames
-produced by either side are interchangeable:
+booleans, ``None`` and byte strings.  This module is the transport's one
+codec — :mod:`repro.net.wire` binds ``packb``/``unpackb`` from here,
+always — so the transport works on a bare Python install and has one set
+of error behaviour.  The encoding follows the msgpack spec exactly for
+the supported types, so its frames interoperate with any conforming
+msgpack peer:
 
 * nil / true / false;
 * integers (fixint, [u]int8/16/32/64 — always the smallest encoding);
@@ -17,6 +18,13 @@ produced by either side are interchangeable:
 
 Ext types and timestamps are not produced by the protocol; decoding one
 raises :class:`MsgpackError` rather than guessing.
+
+Splicing.  Every decoded map is a :class:`SpanMap` — a ``dict`` that
+remembers which bytes it was decoded from — and :meth:`SpanMap.packed`
+mints a :class:`Packed` value that :func:`packb` emits verbatim, so a
+relay can pass a validated map on without re-walking it.  The span is
+valid msgpack (it was just decoded in full) but only as canonical as its
+original writer made it.
 """
 
 from __future__ import annotations
@@ -33,6 +41,49 @@ class MsgpackTruncated(MsgpackError):
     """The buffer ended inside a value (caller should wait for more bytes)."""
 
 
+class Packed:
+    """An already-encoded msgpack value; :func:`packb` emits it verbatim.
+
+    Minted only by :meth:`SpanMap.packed`, i.e. from bytes this decoder
+    has just decoded in full — never build one from caller-supplied bytes
+    (a plain ``bytes`` value still packs as msgpack ``bin``).
+    """
+
+    __slots__ = ("data",)
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+
+
+class SpanMap(dict):
+    """A decoded msgpack map plus the byte span it was decoded from.
+
+    The span describes the map as decoded; mutate the map and
+    :meth:`packed` no longer describes it.
+    """
+
+    __slots__ = ("_span",)
+
+    def packed(self) -> Packed:
+        """The map's own encoding, copied out of the source buffer (so the
+        result does not keep the whole buffer alive)."""
+        source, start, end = self._span
+        return Packed(source[start:end])
+
+
+_FIXINT = [bytes((value,)) for value in range(0x80)]
+_FIXSTR = [bytes((0xA0 | size,)) for size in range(0x20)]
+_PACK_U8 = struct.Struct(">BB").pack
+_PACK_U16 = struct.Struct(">BH").pack
+_PACK_U32 = struct.Struct(">BI").pack
+_PACK_U64 = struct.Struct(">BQ").pack
+_PACK_I8 = struct.Struct(">Bb").pack
+_PACK_I16 = struct.Struct(">Bh").pack
+_PACK_I32 = struct.Struct(">Bi").pack
+_PACK_I64 = struct.Struct(">Bq").pack
+_PACK_F64 = struct.Struct(">Bd").pack
+
+
 def packb(obj: Any) -> bytes:
     """Serialize ``obj`` to msgpack bytes."""
     out: List[bytes] = []
@@ -41,53 +92,41 @@ def packb(obj: Any) -> bytes:
 
 
 def _pack(obj: Any, out: List[bytes]) -> None:
-    if obj is None:
-        out.append(b"\xc0")
-    elif obj is True:
-        out.append(b"\xc3")
-    elif obj is False:
-        out.append(b"\xc2")
-    elif isinstance(obj, int):
-        _pack_int(obj, out)
-    elif isinstance(obj, float):
-        out.append(struct.pack(">Bd", 0xCB, obj))
-    elif isinstance(obj, str):
-        _pack_str(obj, out)
-    elif isinstance(obj, (bytes, bytearray, memoryview)):
-        _pack_bin(bytes(obj), out)
-    elif isinstance(obj, (list, tuple)):
-        _pack_array(obj, out)
-    elif isinstance(obj, dict):
-        _pack_map(obj, out)
-    else:
-        raise MsgpackError(f"cannot serialize {type(obj).__name__} to msgpack")
+    packer = _PACKERS.get(type(obj))
+    if packer is None:  # a subclass of a supported type, or nothing we know
+        for base, packer in _PACKERS.items():
+            if isinstance(obj, base):
+                break
+        else:
+            raise MsgpackError(f"cannot serialize {type(obj).__name__} to msgpack")
+    packer(obj, out)
 
 
 def _pack_int(value: int, out: List[bytes]) -> None:
     if 0 <= value <= 0x7F:
-        out.append(bytes((value,)))
+        out.append(_FIXINT[value])
     elif -32 <= value < 0:
-        out.append(struct.pack(">b", value))
+        out.append(bytes((value & 0xFF,)))
     elif value > 0:
         if value <= 0xFF:
-            out.append(struct.pack(">BB", 0xCC, value))
+            out.append(_PACK_U8(0xCC, value))
         elif value <= 0xFFFF:
-            out.append(struct.pack(">BH", 0xCD, value))
+            out.append(_PACK_U16(0xCD, value))
         elif value <= 0xFFFFFFFF:
-            out.append(struct.pack(">BI", 0xCE, value))
+            out.append(_PACK_U32(0xCE, value))
         elif value <= 0xFFFFFFFFFFFFFFFF:
-            out.append(struct.pack(">BQ", 0xCF, value))
+            out.append(_PACK_U64(0xCF, value))
         else:
             raise MsgpackError("integer out of 64-bit msgpack range")
     else:
         if value >= -0x80:
-            out.append(struct.pack(">Bb", 0xD0, value))
+            out.append(_PACK_I8(0xD0, value))
         elif value >= -0x8000:
-            out.append(struct.pack(">Bh", 0xD1, value))
+            out.append(_PACK_I16(0xD1, value))
         elif value >= -0x80000000:
-            out.append(struct.pack(">Bi", 0xD2, value))
+            out.append(_PACK_I32(0xD2, value))
         elif value >= -0x8000000000000000:
-            out.append(struct.pack(">Bq", 0xD3, value))
+            out.append(_PACK_I64(0xD3, value))
         else:
             raise MsgpackError("integer out of 64-bit msgpack range")
 
@@ -96,26 +135,27 @@ def _pack_str(value: str, out: List[bytes]) -> None:
     data = value.encode("utf-8")
     size = len(data)
     if size <= 0x1F:
-        out.append(bytes((0xA0 | size,)))
+        out.append(_FIXSTR[size])
     elif size <= 0xFF:
-        out.append(struct.pack(">BB", 0xD9, size))
+        out.append(_PACK_U8(0xD9, size))
     elif size <= 0xFFFF:
-        out.append(struct.pack(">BH", 0xDA, size))
+        out.append(_PACK_U16(0xDA, size))
     elif size <= 0xFFFFFFFF:
-        out.append(struct.pack(">BI", 0xDB, size))
+        out.append(_PACK_U32(0xDB, size))
     else:
         raise MsgpackError("string too long for msgpack")
     out.append(data)
 
 
-def _pack_bin(data: bytes, out: List[bytes]) -> None:
+def _pack_bin(data: Any, out: List[bytes]) -> None:
+    data = bytes(data)  # bytearray / memoryview; a no-op for bytes
     size = len(data)
     if size <= 0xFF:
-        out.append(struct.pack(">BB", 0xC4, size))
+        out.append(_PACK_U8(0xC4, size))
     elif size <= 0xFFFF:
-        out.append(struct.pack(">BH", 0xC5, size))
+        out.append(_PACK_U16(0xC5, size))
     elif size <= 0xFFFFFFFF:
-        out.append(struct.pack(">BI", 0xC6, size))
+        out.append(_PACK_U32(0xC6, size))
     else:
         raise MsgpackError("bytes too long for msgpack")
     out.append(data)
@@ -126,9 +166,9 @@ def _pack_array(items: Any, out: List[bytes]) -> None:
     if size <= 0x0F:
         out.append(bytes((0x90 | size,)))
     elif size <= 0xFFFF:
-        out.append(struct.pack(">BH", 0xDC, size))
+        out.append(_PACK_U16(0xDC, size))
     elif size <= 0xFFFFFFFF:
-        out.append(struct.pack(">BI", 0xDD, size))
+        out.append(_PACK_U32(0xDD, size))
     else:
         raise MsgpackError("array too long for msgpack")
     for item in items:
@@ -140,9 +180,9 @@ def _pack_map(mapping: dict, out: List[bytes]) -> None:
     if size <= 0x0F:
         out.append(bytes((0x80 | size,)))
     elif size <= 0xFFFF:
-        out.append(struct.pack(">BH", 0xDE, size))
+        out.append(_PACK_U16(0xDE, size))
     elif size <= 0xFFFFFFFF:
-        out.append(struct.pack(">BI", 0xDF, size))
+        out.append(_PACK_U32(0xDF, size))
     else:
         raise MsgpackError("map too long for msgpack")
     for key, value in mapping.items():
@@ -150,116 +190,161 @@ def _pack_map(mapping: dict, out: List[bytes]) -> None:
         _pack(value, out)
 
 
-def unpackb(data: bytes) -> Any:
-    """Deserialize one msgpack value; trailing bytes are an error."""
-    value, offset = _unpack(data, 0)
-    if offset != len(data):
-        raise MsgpackError(f"{len(data) - offset} trailing bytes after msgpack value")
+_PACKERS = {
+    str: _pack_str,
+    int: _pack_int,
+    float: lambda value, out: out.append(_PACK_F64(0xCB, value)),
+    Packed: lambda value, out: out.append(value.data),
+    dict: _pack_map,
+    list: _pack_array,
+    tuple: _pack_array,
+    bool: lambda value, out: out.append(b"\xc3" if value else b"\xc2"),
+    type(None): lambda value, out: out.append(b"\xc0"),
+    bytes: _pack_bin,
+    bytearray: _pack_bin,
+    memoryview: _pack_bin,
+}
+
+
+def unpackb(data: bytes, offset: int = 0) -> Any:
+    """Deserialize the one msgpack value at ``data[offset:]``; trailing
+    bytes are an error."""
+    value, end = _unpack(data, offset)
+    if end != len(data):
+        raise MsgpackError(f"{len(data) - end} trailing bytes after msgpack value")
     return value
 
 
-def _need(data: bytes, offset: int, count: int) -> None:
-    if offset + count > len(data):
-        raise MsgpackTruncated("msgpack data truncated")
+_TRUNCATED = "msgpack data truncated"
+
+#: marker -> (bound ``unpack_from``, width) of the fixed-width numbers.
+_NUMBERS = {
+    0xCA: (struct.Struct(">f").unpack_from, 4),
+    0xCB: (struct.Struct(">d").unpack_from, 8),
+    0xCC: (struct.Struct(">B").unpack_from, 1),
+    0xCD: (struct.Struct(">H").unpack_from, 2),
+    0xCE: (struct.Struct(">I").unpack_from, 4),
+    0xCF: (struct.Struct(">Q").unpack_from, 8),
+    0xD0: (struct.Struct(">b").unpack_from, 1),
+    0xD1: (struct.Struct(">h").unpack_from, 2),
+    0xD2: (struct.Struct(">i").unpack_from, 4),
+    0xD3: (struct.Struct(">q").unpack_from, 8),
+}
+
+#: marker -> the length field of the sized families (bin 0xC4-0xC6,
+#: str 0xD9-0xDB, array 0xDC-0xDD, map 0xDE-0xDF), as in ``_NUMBERS``.
+_SIZES = {
+    0xC4: _NUMBERS[0xCC],
+    0xC5: _NUMBERS[0xCD],
+    0xC6: _NUMBERS[0xCE],
+    0xD9: _NUMBERS[0xCC],
+    0xDA: _NUMBERS[0xCD],
+    0xDB: _NUMBERS[0xCE],
+    0xDC: _NUMBERS[0xCD],
+    0xDD: _NUMBERS[0xCE],
+    0xDE: _NUMBERS[0xCD],
+    0xDF: _NUMBERS[0xCE],
+}
 
 
 def _unpack(data: bytes, offset: int) -> Tuple[Any, int]:
-    _need(data, offset, 1)
-    marker = data[offset]
+    # Every read is bounds-checked where it happens: an index or struct
+    # read past the end raises, a slice comes back short.
+    try:
+        marker = data[offset]
+    except IndexError:
+        raise MsgpackTruncated(_TRUNCATED) from None
     offset += 1
     if marker <= 0x7F:  # positive fixint
         return marker, offset
+    if marker <= 0xBF:
+        if marker >= 0xA0:  # fixstr (``_unpack_str``, inlined)
+            end = offset + marker - 0xA0
+            raw = data[offset:end]
+            if len(raw) != marker - 0xA0:
+                raise MsgpackTruncated(_TRUNCATED)
+            try:
+                return raw.decode("utf-8"), end
+            except UnicodeDecodeError as error:
+                raise MsgpackError(
+                    f"invalid UTF-8 in msgpack string: {error}"
+                ) from None
+        if marker >= 0x90:  # fixarray
+            return _unpack_array(data, offset, marker & 0x0F)
+        return _unpack_map(data, offset - 1, offset, marker & 0x0F)  # fixmap
     if marker >= 0xE0:  # negative fixint
         return marker - 0x100, offset
-    if 0x80 <= marker <= 0x8F:  # fixmap
-        return _unpack_map(data, offset, marker & 0x0F)
-    if 0x90 <= marker <= 0x9F:  # fixarray
-        return _unpack_array(data, offset, marker & 0x0F)
-    if 0xA0 <= marker <= 0xBF:  # fixstr
-        return _unpack_str(data, offset, marker & 0x1F)
+    number = _NUMBERS.get(marker)
+    if number is not None:
+        read, width = number
+        try:
+            return read(data, offset)[0], offset + width
+        except struct.error:
+            raise MsgpackTruncated(_TRUNCATED) from None
     if marker == 0xC0:
         return None, offset
     if marker == 0xC2:
         return False, offset
     if marker == 0xC3:
         return True, offset
-    if marker == 0xC4:
-        _need(data, offset, 1)
-        return _unpack_bin(data, offset + 1, data[offset])
-    if marker == 0xC5:
-        _need(data, offset, 2)
-        return _unpack_bin(data, offset + 2, struct.unpack_from(">H", data, offset)[0])
-    if marker == 0xC6:
-        _need(data, offset, 4)
-        return _unpack_bin(data, offset + 4, struct.unpack_from(">I", data, offset)[0])
-    if marker == 0xCA:
-        _need(data, offset, 4)
-        return struct.unpack_from(">f", data, offset)[0], offset + 4
-    if marker == 0xCB:
-        _need(data, offset, 8)
-        return struct.unpack_from(">d", data, offset)[0], offset + 8
-    if 0xCC <= marker <= 0xCF:
-        width = 1 << (marker - 0xCC)
-        _need(data, offset, width)
-        return int.from_bytes(data[offset : offset + width], "big"), offset + width
-    if 0xD0 <= marker <= 0xD3:
-        width = 1 << (marker - 0xD0)
-        _need(data, offset, width)
-        value = int.from_bytes(data[offset : offset + width], "big", signed=True)
-        return value, offset + width
-    if marker == 0xD9:
-        _need(data, offset, 1)
-        return _unpack_str(data, offset + 1, data[offset])
-    if marker == 0xDA:
-        _need(data, offset, 2)
-        return _unpack_str(data, offset + 2, struct.unpack_from(">H", data, offset)[0])
-    if marker == 0xDB:
-        _need(data, offset, 4)
-        return _unpack_str(data, offset + 4, struct.unpack_from(">I", data, offset)[0])
-    if marker == 0xDC:
-        _need(data, offset, 2)
-        return _unpack_array(data, offset + 2, struct.unpack_from(">H", data, offset)[0])
-    if marker == 0xDD:
-        _need(data, offset, 4)
-        return _unpack_array(data, offset + 4, struct.unpack_from(">I", data, offset)[0])
-    if marker == 0xDE:
-        _need(data, offset, 2)
-        return _unpack_map(data, offset + 2, struct.unpack_from(">H", data, offset)[0])
-    if marker == 0xDF:
-        _need(data, offset, 4)
-        return _unpack_map(data, offset + 4, struct.unpack_from(">I", data, offset)[0])
-    raise MsgpackError(f"unsupported msgpack marker 0x{marker:02x}")
+    sized = _SIZES.get(marker)
+    if sized is None:
+        raise MsgpackError(f"unsupported msgpack marker 0x{marker:02x}")
+    read, width = sized
+    try:
+        size = read(data, offset)[0]
+    except struct.error:
+        raise MsgpackTruncated(_TRUNCATED) from None
+    body = offset + width
+    if marker >= 0xDE:
+        return _unpack_map(data, offset - 1, body, size)
+    if marker >= 0xDC:
+        return _unpack_array(data, body, size)
+    if marker >= 0xD9:
+        return _unpack_str(data, body, size)
+    return _unpack_bin(data, body, size)
 
 
 def _unpack_str(data: bytes, offset: int, size: int) -> Tuple[str, int]:
-    _need(data, offset, size)
+    end = offset + size
+    raw = data[offset:end]
+    if len(raw) != size:
+        raise MsgpackTruncated(_TRUNCATED)
     try:
-        return data[offset : offset + size].decode("utf-8"), offset + size
+        return raw.decode("utf-8"), end
     except UnicodeDecodeError as error:
         raise MsgpackError(f"invalid UTF-8 in msgpack string: {error}") from None
 
 
 def _unpack_bin(data: bytes, offset: int, size: int) -> Tuple[bytes, int]:
-    _need(data, offset, size)
-    return data[offset : offset + size], offset + size
+    end = offset + size
+    raw = bytes(data[offset:end])
+    if len(raw) != size:
+        raise MsgpackTruncated(_TRUNCATED)
+    return raw, end
 
 
 def _unpack_array(data: bytes, offset: int, size: int) -> Tuple[List[Any], int]:
     items: List[Any] = []
+    append = items.append
     for _ in range(size):
         value, offset = _unpack(data, offset)
-        items.append(value)
+        append(value)
     return items, offset
 
 
-def _unpack_map(data: bytes, offset: int, size: int) -> Tuple[dict, int]:
-    result: dict = {}
+def _unpack_map(
+    data: bytes, start: int, offset: int, size: int
+) -> Tuple[SpanMap, int]:
+    """``start`` is the map's marker byte, ``offset`` its first key."""
+    result = SpanMap()
     for _ in range(size):
         key, offset = _unpack(data, offset)
-        try:
-            hash(key)
-        except TypeError:
-            raise MsgpackError("unhashable msgpack map key") from None
-        value, offset = _unpack(data, offset)
-        result[key] = value
+        if type(key) is not str:
+            try:
+                hash(key)
+            except TypeError:
+                raise MsgpackError("unhashable msgpack map key") from None
+        result[key], offset = _unpack(data, offset)
+    result._span = (data, start, offset)
     return result, offset

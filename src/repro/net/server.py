@@ -500,7 +500,7 @@ class BrokerServer:
             raise ProtocolError("publish is a client message (brokers forward)",
                                 code="unexpected_type")
         event = wire.decode_event(message.body.get("event"))
-        origin_ts = float(message.body.get("ots", 0.0) or 0.0)
+        origin_ts = wire.decode_origin_ts(message.body.get("ots", 0.0))
         self.metrics.counter("net.events_published").increment()
         if self._event_log is not None:
             self._event_log.append(event, at=time.time())
@@ -528,7 +528,7 @@ class BrokerServer:
             raise ProtocolError("publish_many requires an events list",
                                 code="bad_event")
         events = [wire.decode_event(item) for item in raw]
-        origin_ts = float(message.body.get("ots", 0.0) or 0.0)
+        origin_ts = wire.decode_origin_ts(message.body.get("ots", 0.0))
         self.metrics.counter("net.events_published").increment(len(events))
         if self._event_log is not None:
             now = time.time()
@@ -557,8 +557,8 @@ class BrokerServer:
             raise ProtocolError("forward is a broker-link message",
                                 code="unexpected_type")
         event = wire.decode_event(message.body.get("event"))
-        hops = int(message.body.get("hops", 1) or 0)
-        origin_ts = float(message.body.get("ots", 0.0) or 0.0)
+        hops = wire.decode_hops(message.body.get("hops", 1))
+        origin_ts = wire.decode_origin_ts(message.body.get("ots", 0.0))
         self.metrics.counter("net.forwards_received").increment()
         await self._route_events(
             [(event, hops, origin_ts)], came_from=connection.name
@@ -580,7 +580,11 @@ class BrokerServer:
                 raise ProtocolError("forward_batch member must be "
                                     "[event, hops, origin_ts]", code="bad_event")
             envelopes.append(
-                (wire.decode_event(item[0]), int(item[1]), float(item[2]))
+                (
+                    wire.decode_event(item[0]),
+                    wire.decode_hops(item[1]),
+                    wire.decode_origin_ts(item[2]),
+                )
             )
         self.metrics.counter("net.forwards_received").increment(len(envelopes))
         await self._route_events(envelopes, came_from=connection.name)

@@ -39,6 +39,23 @@ Message types
 
 The codec layer (:func:`encode_subscription` & friends) is pure — no IO,
 no asyncio — so the property suite can fuzz round-trips directly.
+
+Encode once
+===========
+
+An event's ``{t, a, ts, id}`` map is encoded by its publisher and by
+nobody else.  :func:`decode_event` validates the decoded map exactly as
+it validates any other and then keeps the bytes the map was decoded from
+on the :class:`Event` it returns; :func:`encode_event` hands those bytes
+back (as a :class:`~repro.net.msgpack_lite.Packed` value ``packb`` emits
+verbatim) instead of rebuilding the map.  So the event member of every
+``forward``, ``forward_batch`` and ``event`` frame a broker sends for a
+socket-received event is the publisher's own encoding, spliced; an event
+constructed locally is encoded the ordinary way.  A receiver may assume
+such a member is valid msgpack that passed the sending hop's
+``decode_event`` — **not** that it is canonical (a third-party publisher
+may have used wider integer/string headers, float32, an integer ``ts``,
+extra or repeated keys), so every hop decodes and validates it again.
 """
 
 from __future__ import annotations
@@ -51,20 +68,7 @@ from repro.pubsub.algebra import FilterExpr
 from repro.pubsub.events import Event
 from repro.pubsub.subscriptions import Operator, Predicate, Subscription
 
-try:  # The real msgpack package wins when installed (same wire bytes).
-    from msgpack import packb as _msgpack_packb
-    from msgpack import unpackb as _msgpack_unpackb
-
-    def packb(obj: Any) -> bytes:
-        return _msgpack_packb(obj, use_bin_type=True)
-
-    def unpackb(data: bytes) -> Any:
-        return _msgpack_unpackb(data, raw=False, strict_map_key=False)
-
-except ImportError:  # pragma: no cover - exercised on bare installs (CI)
-    from repro.net.msgpack_lite import packb, unpackb
-
-from repro.net.msgpack_lite import MsgpackError
+from repro.net.msgpack_lite import MsgpackError, SpanMap, packb, unpackb
 
 #: Protocol version carried in every frame (and asserted in ``hello``).
 WIRE_VERSION = 1
@@ -74,6 +78,7 @@ WIRE_VERSION = 1
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 _HEADER = struct.Struct(">I")
+_VERSION_BYTE = bytes((WIRE_VERSION,))
 
 MESSAGE_TYPES = frozenset(
     {
@@ -131,7 +136,7 @@ class Message:
 def encode_frame(msg_type: str, request_id: int, body: Dict[str, Any]) -> bytes:
     """One complete wire frame for a message."""
     payload = packb([msg_type, request_id, body])
-    return _HEADER.pack(len(payload) + 1) + bytes((WIRE_VERSION,)) + payload
+    return _HEADER.pack(len(payload) + 1) + _VERSION_BYTE + payload
 
 
 def decode_payload(payload: bytes) -> Message:
@@ -150,10 +155,8 @@ def decode_payload(payload: bytes) -> Message:
             code="bad_version",
         )
     try:
-        decoded = unpackb(payload[1:])
+        decoded = unpackb(payload, 1)
     except MsgpackError as error:
-        raise ProtocolError(f"malformed msgpack payload: {error}", code="bad_payload")
-    except Exception as error:  # real msgpack package raises its own types
         raise ProtocolError(f"malformed msgpack payload: {error}", code="bad_payload")
     if (
         not isinstance(decoded, list)
@@ -187,21 +190,25 @@ class FrameDecoder:
 
     def feed(self, data: bytes) -> List[bytes]:
         """Append received bytes; return the completed frame payloads."""
-        self._buffer.extend(data)
+        buffer = self._buffer
+        buffer += data
         frames: List[bytes] = []
-        while True:
-            if len(self._buffer) < _HEADER.size:
-                break
-            (length,) = _HEADER.unpack_from(self._buffer)
+        available = len(buffer)
+        # Walk by offset and trim once per call, not once per frame.
+        start = 0
+        while available - start >= _HEADER.size:
+            (length,) = _HEADER.unpack_from(buffer, start)
             if length > self._max:
                 raise FrameError(
                     f"frame length {length} exceeds limit {self._max}"
                 )
-            if len(self._buffer) < _HEADER.size + length:
+            end = start + _HEADER.size + length
+            if end > available:
                 break
-            payload = bytes(self._buffer[_HEADER.size : _HEADER.size + length])
-            del self._buffer[: _HEADER.size + length]
-            frames.append(payload)
+            frames.append(bytes(buffer[start + _HEADER.size : end]))
+            start = end
+        if start:
+            del buffer[:start]
         return frames
 
     def feed_messages(self, data: bytes) -> Iterator[Message]:
@@ -303,7 +310,12 @@ def decode_filter_expr(data: Any) -> FilterExpr:
     )
 
 
-def encode_event(event: Event) -> Dict[str, Any]:
+def encode_event(event: Event) -> Any:
+    """The event as a msgpack-ready value: the bytes it was decoded from
+    when it came off a socket (see "Encode once"), a fresh map otherwise."""
+    packed = event.__dict__.get("_wire")
+    if packed is not None:
+        return packed
     return {
         "t": event.event_type,
         "a": dict(event.attributes),
@@ -337,12 +349,32 @@ def decode_event(data: Any) -> Event:
                 f"{type(value).__name__}",
                 code="bad_event",
             )
-    return Event(
+    event = Event(
         event_type=event_type,
         attributes=attributes,
         timestamp=float(timestamp),
         event_id=event_id,
     )
+    if type(data) is SpanMap:
+        # Validated above, so the map's own bytes can stand in for it.  Kept
+        # in the instance dict: Event gets no field, events that never touch
+        # a socket pay nothing.
+        event.__dict__["_wire"] = data.packed()
+    return event
+
+
+def decode_origin_ts(value: Any) -> float:
+    """The ``ots`` field beside an event (publisher's monotonic stamp)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ProtocolError("origin timestamp must be numeric", code="bad_event")
+    return float(value)
+
+
+def decode_hops(value: Any) -> int:
+    """The ``hops`` field beside an event."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ProtocolError("hop count must be an integer", code="bad_event")
+    return value
 
 
 # -- message constructors ----------------------------------------------------

@@ -207,6 +207,182 @@ class TestProtocolResilience:
         run(scenario)
 
 
+_EVENT_MAP = {"t": "news.story", "a": {"topic": "ai"}, "ts": 1.0, "id": "e-1"}
+
+#: (connection role, message type, request id, body): well-framed messages
+#: whose fields beside the event are ill-typed.
+ILL_TYPED_DATA_PLANE = [
+    ("client", "publish", 5, {"event": _EVENT_MAP, "ots": "abc"}),
+    ("client", "publish", 0, {"event": _EVENT_MAP, "ots": "abc"}),
+    ("client", "publish_many", 7, {"events": [_EVENT_MAP], "ots": [1.0]}),
+    ("broker", "forward", 0, {"event": _EVENT_MAP, "hops": "x", "ots": 1.0}),
+    ("broker", "forward", 0, {"event": _EVENT_MAP, "hops": 1, "ots": "abc"}),
+    ("broker", "forward_batch", 0, {"members": [[_EVENT_MAP, None, 1.0]]}),
+    ("broker", "forward_batch", 0, {"members": [[_EVENT_MAP, 1, "abc"]]}),
+    ("broker", "forward_batch", 0,
+     {"members": [[_EVENT_MAP, 1, 1.0], [_EVENT_MAP, True, 1.0]]}),
+]
+
+
+class TestIllTypedDataPlane:
+    """A well-framed message with an ill-typed ``ots`` / ``hops`` is
+    answered (nack with a request id, ``error`` frame without) and the
+    connection — client session or broker link — keeps serving."""
+
+    @pytest.mark.parametrize("role, msg_type, request_id, body", ILL_TYPED_DATA_PLANE)
+    def test_typed_reply_and_connection_survives(
+        self, role, msg_type, request_id, body
+    ):
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            decoder = wire.FrameDecoder()
+            inbox = []
+
+            async def read_reply():
+                # Broker links are also sent an advertisement snapshot.
+                while True:
+                    while inbox:
+                        message = inbox.pop(0)
+                        if message.msg_type in ("ack", "error"):
+                            return message
+                    data = await asyncio.wait_for(reader.read(65536), timeout=5)
+                    assert data, (
+                        f"server closed the {role} connection on {msg_type} {body!r}"
+                    )
+                    inbox.extend(
+                        wire.decode_payload(frame) for frame in decoder.feed(data)
+                    )
+
+            writer.write(wire.hello_frame(role, "raw", 1))
+            await writer.drain()
+            assert (await read_reply()).msg_type == "ack"
+
+            writer.write(wire.encode_frame(msg_type, request_id, body))
+            await writer.drain()
+            reply = await read_reply()
+            if request_id:
+                assert reply.msg_type == "ack" and reply.request_id == request_id
+                assert reply.body["ok"] is False, reply.body
+            else:
+                assert reply.msg_type == "error", reply
+                assert reply.body["code"] == "bad_event", reply.body
+
+            writer.write(wire.stats_frame(9))
+            await writer.drain()
+            reply = await read_reply()
+            assert reply.msg_type == "ack" and reply.request_id == 9
+            assert reply.body["data"]["broker"] == "b0"
+            # Nothing from the rejected message was routed.
+            assert reply.body["data"]["metrics"]["counters"].get(
+                "net.deliveries", 0
+            ) == 0
+            writer.close()
+            await writer.wait_closed()
+
+        run(scenario)
+
+    def test_client_skips_malformed_event_push(self):
+        """A broker pushing ill-formed ``event`` frames does not end the
+        client's read loop: the frames are skipped, later ones delivered."""
+        good = story("ai")
+        pushes = [
+            wire.encode_frame("event", 0, {"subs": ["s1"], "ots": 1.0, "hops": 0}),
+            wire.encode_frame(
+                "event", 0, {"event": {"t": "", "id": ""}, "subs": ["s1"]}
+            ),
+            wire.encode_frame(
+                "event", 0, {"event": _EVENT_MAP, "subs": ["s1"], "ots": "abc"}
+            ),
+            wire.encode_frame(
+                "event", 0, {"event": _EVENT_MAP, "subs": ["s1"], "hops": "x"}
+            ),
+            wire.encode_frame("event", 0, {"event": _EVENT_MAP, "subs": 5}),
+            wire.event_frame(good, ["s1"], 2.5, 1),
+        ]
+
+        async def fake_broker(reader, writer):
+            decoder = wire.FrameDecoder()
+            while True:
+                data = await reader.read(65536)
+                if not data:
+                    break
+                for payload in decoder.feed(data):
+                    message = wire.decode_payload(payload)
+                    writer.write(
+                        wire.ack_frame(message.request_id, data={"broker": "fake"})
+                    )
+                    if message.msg_type == "hello":
+                        writer.write(b"".join(pushes))
+                await writer.drain()
+            writer.close()
+
+        async def wrapper():
+            listener = await asyncio.start_server(fake_broker, "127.0.0.1", 0)
+            port = listener.sockets[0].getsockname()[1]
+            client = await connect("127.0.0.1", port, name="s", reconnect=False)
+            try:
+                delivery = await client.next_event(timeout=5)
+                assert delivery is not None, "read loop died on a malformed push"
+                assert delivery.event == good
+                assert delivery.subscription_ids == ("s1",)
+                assert (delivery.origin_ts, delivery.hops) == (2.5, 1)
+                # Still a working session: requests are answered.
+                assert (await client.stats())["broker"] == "fake"
+            finally:
+                await client.close()
+                listener.close()
+                await listener.wait_closed()
+
+        asyncio.run(asyncio.wait_for(wrapper(), timeout=30))
+
+
+class TestEncodeOnce:
+    def test_three_broker_line_encodes_each_event_once(self, monkeypatch):
+        """b0 - b1 - b2, publisher on b0, subscriber on b2: only the
+        publisher builds an event map; both forwards and the delivery push
+        are spliced from the bytes each broker received."""
+        built = {"map": 0, "spliced": 0}
+        encode_event = wire.encode_event
+
+        def counting(event):
+            encoded = encode_event(event)
+            built["map" if type(encoded) is dict else "spliced"] += 1
+            return encoded
+
+        monkeypatch.setattr(wire, "encode_event", counting)
+        events = [story("ai", n=index) for index in range(37)]
+
+        async def wrapper():
+            brokers = []
+            for name in ("b2", "b1", "b0"):
+                dial = {b.name: ("127.0.0.1", b.port) for b in brokers[-1:]}
+                brokers.append(BrokerServer(name, port=0, dial=dial))
+                await brokers[-1].start()
+            subscriber = await connect("127.0.0.1", brokers[0].port, name="s")
+            publisher = await connect("127.0.0.1", brokers[2].port, name="p")
+            try:
+                await subscriber.subscribe(sub("ai", subscriber="s"))
+                for _ in range(500):
+                    if brokers[2].node.routing_table_size():
+                        break
+                    await asyncio.sleep(0.01)
+                await publisher.publish_many(events[:32])  # forward_batch path
+                for event in events[32:]:  # forward path
+                    await publisher.publish(event)
+                delivered = [await subscriber.next_event(timeout=5) for _ in events]
+            finally:
+                await publisher.close()
+                await subscriber.close()
+                for broker in brokers:
+                    await broker.shutdown(drain=False)
+            return delivered
+
+        delivered = asyncio.run(asyncio.wait_for(wrapper(), timeout=30))
+        assert [d.event for d in delivered] == events
+        assert {d.hops for d in delivered} == {2}
+        assert built == {"map": len(events), "spliced": 3 * len(events)}
+
+
 class TestReconnect:
     def test_reconnect_replays_subscriptions(self):
         async def wrapper():

@@ -7,11 +7,15 @@ wildcards, unicode attributes) must be identity, and malformed frames
 never crashes, never silent misdecodes.
 """
 
+import math
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import wire
+from repro.net.msgpack_lite import Packed, SpanMap, packb, unpackb
 from repro.net.wire import (
     WIRE_VERSION,
     FrameDecoder,
@@ -29,6 +33,7 @@ from repro.net.wire import (
 from repro.pubsub.algebra import FilterExpr
 from repro.pubsub.events import Event
 from repro.pubsub.subscriptions import Operator, Predicate, Subscription
+from repro.sim.rng import SeededRNG
 
 # ---------------------------------------------------------------------------
 # Strategies: every operator, unicode attribute names, all value types
@@ -208,6 +213,40 @@ class TestFraming:
         decoder = FrameDecoder(max_frame_bytes=1024)
         with pytest.raises(FrameError):
             decoder.feed(b"\x7f\xff\xff\xff")
+        # ... also behind complete frames, and before its body arrives
+        # (nothing is buffered or allocated for the announced length).
+        decoder = FrameDecoder(max_frame_bytes=1024)
+        with pytest.raises(FrameError):
+            decoder.feed(wire.stats_frame(1) * 3 + b"\x00\x00\x04\x01")
+        assert decoder.pending_bytes < 1024
+
+    def test_one_chunk_bytewise_and_every_split_agree(self):
+        frames = [
+            wire.publish_frame(Event("e", {"k": index}, event_id=f"e{index}"), index + 1)
+            for index in range(40)
+        ] + [wire.stats_frame(99), encode_frame("ack", 0, {})]
+        stream = b"".join(frames)
+        expected = [frame[4:] for frame in frames]
+
+        whole = FrameDecoder()
+        assert whole.feed(stream) == expected
+        assert whole.pending_bytes == 0
+
+        bytewise, seen = FrameDecoder(), []
+        for index in range(len(stream)):
+            seen.extend(bytewise.feed(stream[index : index + 1]))
+            complete = sum(len(frame) for frame in frames[: len(seen)])
+            assert bytewise.pending_bytes == index + 1 - complete, f"byte {index}"
+        assert seen == expected
+
+        pair = frames[0] + frames[1]
+        for split in range(len(pair) + 1):
+            decoder = FrameDecoder()
+            first = decoder.feed(pair[:split])
+            assert len(first) == (split >= len(frames[0])) + (split == len(pair))
+            assert decoder.pending_bytes == split - sum(len(p) + 4 for p in first)
+            assert first + decoder.feed(pair[split:]) == expected[:2], f"split {split}"
+            assert decoder.pending_bytes == 0
 
 
 # ---------------------------------------------------------------------------
@@ -287,3 +326,276 @@ class TestMalformed:
             decode_payload(payload)
         except ProtocolError:
             pass
+
+
+# ---------------------------------------------------------------------------
+# Encode once: socket-received events are forwarded from their own bytes
+# ---------------------------------------------------------------------------
+#
+# All pure: a canned frame in, the decode steps a hop performs, emitted
+# frame bytes out.
+
+
+def receive(frame: bytes) -> wire.Message:
+    """What a peer's read loop does with the bytes of one frame."""
+    (payload,) = FrameDecoder().feed(frame)
+    return decode_payload(payload)
+
+
+BOUNDARY_INTS = [
+    0, 1, 127, 128, 255, 256, 65535, 65536, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1,
+    -1, -32, -33, -128, -129, -32768, -32769, -(2**31), -(2**31) - 1, -(2**63),
+]
+SPLICE_VALUES = BOUNDARY_INTS + [
+    0.0, -0.0, 1.5, 1e-310, 1.7976931348623157e308, math.inf, -math.inf,
+    True, False,
+    "", "x", "δίκτυο", "東京🛰️", "a" * 31, "a" * 32, "é" * 16, "b" * 255, "b" * 256,
+]
+SPLICE_NAMES = ["topic", "p", "θέμα", "優先度", "città", "n" * 31, "n" * 32, ""]
+SPLICE_TYPES = ["news.story", "τύπος", "t" * 40]
+
+
+def splice_event(rng: SeededRNG, index: int) -> Event:
+    names = rng.sample(SPLICE_NAMES, rng.randint(0, 6))
+    return Event(
+        event_type=rng.choice(SPLICE_TYPES),
+        attributes={name: rng.choice(SPLICE_VALUES) for name in names},
+        timestamp=rng.choice([0.0, 1.5, 1e9, rng.random()]),
+        event_id=f"e{index}" if index % 3 else f"évènement-{index:040d}",
+    )
+
+
+def check_splice_identity(seed: int, count: int) -> None:
+    """Carry ``count`` events of ``SeededRNG(seed)`` publisher → ingress →
+    transit → egress → subscriber through the decode steps each hop runs,
+    and require every onward frame to equal the one built from the
+    publisher's own ``Event`` objects."""
+    repro = f"repro: check_splice_identity(seed={seed}, count={count})"
+    rng = SeededRNG(seed)
+    events = [splice_event(rng, index) for index in range(count)]
+    ots = rng.choice([0.0, 12345.678, 1e-3])
+    subs = [f"s{i}" for i in range(rng.randint(1, 20))]
+
+    def same(spliced_frame: bytes, original_frame: bytes, what: str) -> None:
+        assert spliced_frame == original_frame, f"{what}; {repro}"
+
+    # Ingress, per-event path: publish -> forward / event.
+    for index, event in enumerate(events):
+        ingress = decode_event(receive(wire.publish_frame(event, 7, ots)).body["event"])
+        assert ingress == event, f"event {index}; {repro}"
+        same(wire.forward_frame(ingress, 1, ots), wire.forward_frame(event, 1, ots),
+             f"forward of event {index}")
+        same(wire.event_frame(ingress, subs, ots, 0),
+             wire.event_frame(event, subs, ots, 0), f"event push of event {index}")
+        transit = decode_event(receive(wire.forward_frame(ingress, 1, ots)).body["event"])
+        same(wire.forward_frame(transit, 2, ots), wire.forward_frame(event, 2, ots),
+             f"second forward of event {index}")
+
+    # Ingress, batched path: publish_many -> forward_batch -> ... -> event.
+    body = receive(wire.publish_many_frame(events, 8, ots)).body
+    hop = [decode_event(item) for item in body["events"]]
+    for hops in (1, 2):
+        batch = wire.forward_batch_frame([(event, hops, ots) for event in hop])
+        same(batch, wire.forward_batch_frame([(e, hops, ots) for e in events]),
+             f"forward_batch at hop {hops}")
+        members = receive(batch).body["members"]
+        assert [(m[1], m[2]) for m in members] == [(hops, ots)] * count, repro
+        hop = [decode_event(member[0]) for member in members]
+        assert hop == events, f"hop {hops}; {repro}"
+    for index, (egress, event) in enumerate(zip(hop, events)):
+        push = wire.event_frame(egress, subs, ots, 2)
+        same(push, wire.event_frame(event, subs, ots, 2), f"event push {index}")
+        delivered = decode_event(receive(push).body["event"])
+        assert delivered == event and delivered.event_id == event.event_id, repro
+        for name, value in event.attributes.items():
+            got = delivered.attributes[name]
+            assert type(got) is type(value), f"{name!r} of event {index}; {repro}"
+            if isinstance(value, float):  # -0.0 == 0.0, so compare the sign too
+                assert math.copysign(1, got) == math.copysign(1, value), repro
+
+
+def spans_of(value):
+    """Every map in a decoded structure."""
+    if isinstance(value, dict):
+        yield value
+        for item in value.values():
+            yield from spans_of(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from spans_of(item)
+
+
+def str8(text: str) -> bytes:
+    data = text.encode("utf-8")
+    return b"\xd9" + bytes([len(data)]) + data
+
+
+def uint64(value: int) -> bytes:
+    return b"\xcf" + struct.pack(">Q", value)
+
+
+def float32(value: float) -> bytes:
+    return b"\xca" + struct.pack(">f", value)
+
+
+def raw_frame(msg_type: str, request_id: int, body: bytes) -> bytes:
+    """A frame around hand-encoded body bytes."""
+    payload = b"\x93" + packb(msg_type) + packb(request_id) + body
+    return struct.pack(">I", len(payload) + 1) + bytes([WIRE_VERSION]) + payload
+
+
+#: A valid event map no canonical encoder would write: map16 and str8
+#: headers for tiny sizes, uint64 for small integers, a float32, an integer
+#: ``ts``, an unknown extra key and a repeated key (last one wins).
+FOREIGN_EVENT = (
+    b"\xde\x00\x07"
+    + str8("t") + str8("stale.type")
+    + str8("a") + b"\xdf\x00\x00\x00\x03"
+    + str8("topic") + str8("ai")
+    + str8("priority") + uint64(7)
+    + str8("score") + float32(0.5)
+    + str8("ts") + uint64(3)
+    + str8("id") + b"\xda\x00\x05evt-x"
+    + str8("x-extra") + b"\xdc\x00\x02\x01\xc0"
+    + str8("t") + b"\xdb\x00\x00\x00\x0anews.story"
+    + packb("a") + b"\x83"
+    + packb("topic") + packb("ai")
+    + packb("priority") + b"\xd3" + struct.pack(">q", 7)
+    + packb("score") + float32(0.5)
+)
+CANONICAL_EVENT = Event(
+    "news.story", {"topic": "ai", "priority": 7, "score": 0.5},
+    timestamp=3.0, event_id="evt-x",
+)
+
+
+class TestEncodeOnce:
+    @pytest.mark.parametrize(
+        "seed, count", [(1, 1), (2, 3), (3, 15), (4, 16), (5, 17), (6, 40)]
+    )
+    def test_spliced_frames_equal_reencoded_frames(self, seed, count):
+        check_splice_identity(seed, count)
+
+    @given(st.integers(0, 2**32), st.integers(1, 20))
+    @settings(max_examples=60, deadline=None)
+    def test_spliced_frames_equal_reencoded_frames_fuzz(self, seed, count):
+        check_splice_identity(seed, count)
+
+    def test_empty_attribute_map_and_every_value_alone(self):
+        events = [Event("e", {}, event_id="empty")] + [
+            Event("e", {"v": value}, event_id=f"v{index}")
+            for index, value in enumerate(SPLICE_VALUES)
+        ]
+        members = receive(
+            wire.forward_batch_frame([(event, 1, 0.5) for event in events])
+        ).body["members"]
+        for member, event in zip(members, events):
+            decoded = decode_event(member[0])
+            assert decoded == event, f"repro: value {event.attributes!r}"
+            assert wire.event_frame(decoded, ["s"], 0.5, 1) == wire.event_frame(
+                event, ["s"], 0.5, 1
+            ), f"repro: value {event.attributes!r}"
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_every_decoded_map_redecodes_from_its_span(self, seed):
+        repro = f"repro: test_every_decoded_map_redecodes_from_its_span(seed={seed})"
+        rng = SeededRNG(seed)
+        events = [splice_event(rng, index) for index in range(20)]
+        wide = {f"k{index}": {"n": index} for index in range(70000)}  # map32
+        frames = [
+            wire.publish_many_frame(events, 3, 1.5),
+            wire.forward_batch_frame([(event, 1, 1.5) for event in events]),
+            encode_frame("ack", 1, {"data": {f"k{i}": {"v": i} for i in range(16)}}),
+            encode_frame("ack", 1, {"data": wide}),
+        ]
+        widths = set()
+        for frame in frames:
+            for mapping in spans_of(receive(frame).body):
+                assert type(mapping) is SpanMap, repro
+                span = mapping.packed().data
+                widths.add(span[0] if span[0] >= 0xDE else 0x80)
+                again = unpackb(span)
+                assert again == mapping and list(again) == list(mapping), repro
+                assert packb(mapping) == span, repro  # canonical writer here
+        assert widths == {0x80, 0xDE, 0xDF}, repro
+
+    def test_span_of_non_canonical_map_headers(self):
+        # The same two-entry map under each header width a peer may choose.
+        entries = packb("a") + packb(1) + packb("b") + b"\x81" + packb("c") + packb(2)
+        for header in (b"\x82", b"\xde\x00\x02", b"\xdf\x00\x00\x00\x02"):
+            outer = unpackb(b"\x92" + header + entries + b"\xc0")
+            decoded = outer[0]
+            assert decoded == {"a": 1, "b": {"c": 2}} and outer[1] is None
+            assert decoded.packed().data == header + entries
+            assert decoded["b"].packed().data == b"\x81" + packb("c") + packb(2)
+
+    def test_span_is_copied_out_of_the_frame(self):
+        event = Event("e", {"k": "v"}, event_id="e1")
+        (payload,) = FrameDecoder().feed(wire.publish_frame(event, 1, 0.0))
+        decoded = decode_event(decode_payload(payload).body["event"])
+        span = encode_event(decoded).data
+        assert type(span) is bytes and span == packb(encode_event(event))
+        assert span is not payload and len(span) < len(payload)
+
+    def test_foreign_encoding_is_forwarded_verbatim_and_delivered_equal(self):
+        def assert_canonical(event, where):
+            assert event == CANONICAL_EVENT, where
+            assert event.event_id == "evt-x" and event.event_type == "news.story", where
+            assert type(event.timestamp) is float and event.timestamp == 3.0, where
+            assert dict(event.attributes) == {"topic": "ai", "priority": 7, "score": 0.5}
+
+        publish = raw_frame(
+            "publish", 4,
+            b"\x82" + packb("event") + FOREIGN_EVENT + packb("ots") + packb(2),
+        )
+        message = receive(publish)
+        ingress = decode_event(message.body["event"])
+        assert_canonical(ingress, "ingress")
+        ots = wire.decode_origin_ts(message.body["ots"])
+        assert type(ots) is float
+
+        forward = wire.forward_frame(ingress, 1, ots)
+        assert FOREIGN_EVENT in forward  # verbatim, not normalised
+        transit = decode_event(receive(forward).body["event"])
+        assert_canonical(transit, "transit")
+
+        batch = wire.forward_batch_frame([(transit, 2, ots), (ingress, 2, ots)])
+        assert batch.count(FOREIGN_EVENT) == 2
+        for member in receive(batch).body["members"]:
+            egress = decode_event(member[0])
+            assert_canonical(egress, "egress")
+            push = wire.event_frame(egress, ["s1"], ots, 3)
+            assert FOREIGN_EVENT in push
+            assert_canonical(decode_event(receive(push).body["event"]), "subscriber")
+
+    def test_foreign_list_valued_attribute_rejected_at_first_hop(self):
+        bad = (
+            b"\x84" + packb("t") + packb("e") + packb("id") + packb("e1")
+            + packb("ts") + packb(0.0)
+            + packb("a") + b"\x81" + packb("k") + b"\x91\x01"
+        )
+        body = receive(raw_frame("publish", 1, b"\x81" + packb("event") + bad)).body
+        with pytest.raises(ProtocolError) as exc:
+            decode_event(body["event"])  # no Event, so nothing to forward
+        assert exc.value.code == "bad_event"
+        members = receive(
+            raw_frame("forward_batch", 0,
+                      b"\x81" + packb("members") + b"\x91\x93" + bad + b"\x01\x00")
+        ).body["members"]
+        with pytest.raises(ProtocolError):
+            decode_event(members[0][0])
+
+    def test_bytes_are_never_taken_for_a_splice(self):
+        encoded_map = packb({"t": "e", "id": "x"})
+        assert packb(encoded_map) == b"\xc4" + bytes([len(encoded_map)]) + encoded_map
+        assert packb(bytearray(encoded_map)) == packb(encoded_map)
+        assert unpackb(packb({"event": encoded_map})) == {"event": encoded_map}
+        # Only an event decoded from a frame carries a splice ...
+        local = Event("e", {"k": 1}, event_id="e1")
+        assert type(encode_event(local)) is dict
+        assert type(encode_event(decode_event(encode_event(local)))) is dict
+        spliced = encode_event(decode_event(unpackb(packb(encode_event(local)))))
+        assert type(spliced) is Packed and spliced.data == packb(encode_event(local))
+        # ... and derived events are local again.
+        derived = decode_event(unpackb(packb(encode_event(local)))).with_attributes(k=2)
+        assert type(encode_event(derived)) is dict
