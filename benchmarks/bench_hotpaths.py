@@ -38,7 +38,11 @@ These pin the cost of the two inner loops everything else sits on:
 * the wire codec's share of one broker hop: a 32-member ``forward_batch``
   decoded, validated and re-emitted as the onward batch plus 32 ``event``
   pushes, with the event members spliced from the received bytes
-  (PR 15; see "Wire transport / Encode once").
+  (PR 15; see "Wire transport / Encode once");
+* the covering index's worst bucket: 10 000 ``EQ``-free price ranges
+  under one ``(signature, fingerprint)`` key, scanned linearly with the
+  numeric-bounds filter in front of ``covers()`` (PR 16; see "Control
+  plane / Range-aware covering index").
 
 Run ``python benchmarks/run_hotpath_bench.py --label <name>`` to record a
 named snapshot (``prN`` labels land in ``BENCH_PRN.json``); see
@@ -845,3 +849,79 @@ def test_hp_wire_hop_codec(benchmark):
     )
     assert frames[1] == wire.event_frame(events[0], subscription_ids, 1234.5678, 2)
     benchmark.extra_info.update({"members": 32, "frames_out": len(frames)})
+
+
+def test_hp_covering_range_bucket(benchmark):
+    """One ``EQ``-free covering bucket of 10 000 price ranges (PR 16).
+
+    1 000 disjoint families of 10 nested ranges, no ``topic ==``: every
+    entry shares the ``("price",)`` / ``("*",)`` bucket, which the index
+    scans linearly — the bounds filter rejects a candidate on two
+    compares and ``covers()`` runs on survivors only.  The timed call
+    makes a ``first_cover`` hit, a ``first_cover`` miss (the whole bucket
+    is scanned) and a ``covered_by``; each is also timed on its own into
+    ``extra_info``.  No registered e2e workload has a bucket past 10
+    entries; this records what the linear scan costs where one does.
+    """
+    import time
+
+    from repro.pubsub.subscriptions import CoveringIndex
+
+    def price_range(subscription_id: str, lo: float, hi: float) -> Subscription:
+        return Subscription(
+            event_type="bench.tick",
+            predicates=(
+                Predicate("price", Operator.GE, lo),
+                Predicate("price", Operator.LE, hi),
+            ),
+            subscriber="u",
+            subscription_id=subscription_id,
+        )
+
+    families, levels, spacing = 1_000, 10, 100.0
+    index = CoveringIndex()
+    for family in range(families):
+        centre = family * spacing
+        for level in range(levels):
+            index.add(
+                price_range(f"r{family:04d}-{level}", centre - level - 1, centre + level + 1),
+                priority=family * levels + level,
+            )
+    centre = (families // 2) * spacing
+    inside = price_range("hit", centre - 0.5, centre + 0.5)
+    straddling = price_range("miss", centre - 1.0, centre + spacing + 1.0)
+    around = price_range("around", centre - levels - 1.0, centre + levels + 1.0)
+
+    def hit():
+        return index.first_cover(inside)
+
+    def miss():
+        return index.first_cover(straddling)
+
+    def covered():
+        return index.covered_by(around)
+
+    def run():
+        return hit(), miss(), covered()
+
+    found, missed, covered_entries = benchmark(run)
+    assert found is not None and found.covers(inside)
+    assert missed is None
+    assert len(covered_entries) == levels
+
+    def median_us(call) -> float:
+        samples = []
+        for _ in range(7):
+            started = time.perf_counter()
+            call()
+            samples.append(time.perf_counter() - started)
+        return round(sorted(samples)[len(samples) // 2] * 1e6, 1)
+
+    benchmark.extra_info.update(
+        {
+            "entries": len(index),
+            "first_cover_hit_us": median_us(hit),
+            "first_cover_miss_us": median_us(miss),
+            "covered_by_us": median_us(covered),
+        }
+    )

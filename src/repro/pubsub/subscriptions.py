@@ -172,13 +172,85 @@ class Predicate:
 _UNSET = object()
 
 
-def _compute_covering_key(
+#: Fingerprint mark of an attribute no hashable ``EQ`` pins.
+_ANY = ("*",)
+
+_INF = float("inf")
+_FLOOR_OPERATORS = frozenset((Operator.GE, Operator.GT, Operator.EQ))
+_CEILING_OPERATORS = frozenset((Operator.LE, Operator.LT, Operator.EQ))
+
+
+class CoveringKey(NamedTuple):
+    """Everything a :class:`CoveringIndex` files and filters a conjunction
+    by — a pure function of its distinct predicates, so every subscription
+    on one interned shape shares one instance.  The first four fields
+    depend only on the attributes and their ``EQ``-pinned values and are
+    shared by all keys that agree on those (shapes that differ in their
+    range values, typically).
+    """
+
+    #: Sorted distinct attributes.
+    signature: Tuple[str, ...]
+    #: Hashable ``EQ``-pinned values per attribute.
+    eq_values: Dict[str, Tuple[AttributeValue, ...]]
+    #: ``("eq", value)`` or ``("*",)`` per attribute of ``signature``.
+    fingerprint: Tuple
+    #: Every ``(signature, fingerprint)`` bucket a cover could occupy, or
+    #: ``None`` past the cap of :func:`_compute_covering_probes`.
+    probes: Optional[Tuple[Tuple[Tuple[str, ...], Tuple], ...]]
+    #: ``attribute -> (lo, hi)``, see :func:`_numeric_bounds`.
+    bounds: Dict[str, Tuple[AttributeValue, AttributeValue]]
+    #: The first ``("*",)`` attribute with bounds (``None`` without one)
+    #: and those bounds: what an index entry is filtered on.
+    range_attribute: Optional[str]
+    lo: AttributeValue
+    hi: AttributeValue
+
+
+def _numeric_bounds(
     predicates: Tuple["Predicate", ...],
-) -> Tuple[Tuple[str, ...], Dict[str, Tuple[AttributeValue, ...]]]:
-    """``(attribute signature, EQ-pinned values per attribute)`` of a
-    conjunction — the pair :class:`CoveringIndex` keys its buckets on."""
+) -> Dict[str, Tuple[AttributeValue, AttributeValue]]:
+    """``attribute -> (lo, hi)`` for each attribute whose predicates are
+    all ``GE/GT/LE/LT/EQ`` on an ``int``/``float`` that is not NaN (and
+    not ``bool``): ``lo`` the largest lower/EQ value, ``hi`` the smallest
+    upper/EQ value, ±inf when absent.
+
+    By the operator table of :meth:`Predicate.covers`, a conjunction C
+    covers T only if ``lo(C) <= lo(T)`` and ``hi(C) >= hi(T)`` on every
+    attribute where both have bounds — a necessary condition that ignores
+    strictness; ``covers()`` remains the judge.
+    """
+    bounds: Dict[str, Optional[Tuple[AttributeValue, AttributeValue]]] = {}
+    for predicate in predicates:
+        attribute = predicate.attribute
+        held = bounds.get(attribute, (-_INF, _INF))
+        if held is None:
+            continue
+        op, value = predicate.operator, predicate.value
+        floor, ceiling = op in _FLOOR_OPERATORS, op in _CEILING_OPERATORS
+        if (
+            type(value) not in (int, float)
+            or value != value
+            or not (floor or ceiling)
+        ):
+            bounds[attribute] = None
+            continue
+        lo, hi = held
+        if floor and value > lo:
+            lo = value
+        if ceiling and value < hi:
+            hi = value
+        bounds[attribute] = (lo, hi)
+    return {attr: held for attr, held in bounds.items() if held is not None}
+
+
+def _compute_covering_key(
+    predicates: Tuple["Predicate", ...], skeletons: Dict[Tuple, Tuple]
+) -> CoveringKey:
+    """The :class:`CoveringKey` of a conjunction; ``skeletons`` interns
+    its ``EQ``-only fields by content."""
     signature = tuple(sorted({predicate.attribute for predicate in predicates}))
-    eq_values: Dict[str, List[AttributeValue]] = {}
+    held_values: Dict[str, List[AttributeValue]] = {}
     for predicate in predicates:
         if predicate.operator is not Operator.EQ:
             continue
@@ -186,26 +258,43 @@ def _compute_covering_key(
             hash(predicate.value)
         except TypeError:
             continue
-        held = eq_values.setdefault(predicate.attribute, [])
+        held = held_values.setdefault(predicate.attribute, [])
         if predicate.value not in held:
             held.append(predicate.value)
-    return (signature, {attr: tuple(vals) for attr, vals in eq_values.items()})
+    eq_values = {attr: tuple(vals) for attr, vals in held_values.items()}
+    content = (signature, tuple(eq_values.items()))
+    skeleton = skeletons.get(content)
+    if skeleton is None:
+        fingerprint = tuple(
+            ("eq", eq_values[attr][0]) if attr in eq_values else _ANY
+            for attr in signature
+        )
+        probes = _compute_covering_probes(signature, eq_values)
+        skeleton = skeletons[content] = (signature, eq_values, fingerprint, probes)
+    bounds = _numeric_bounds(predicates)
+    range_attribute, lo, hi = None, -_INF, _INF
+    fingerprint = skeleton[2]
+    for attr, mark in zip(signature, fingerprint):
+        if mark is _ANY and attr in bounds:
+            range_attribute = attr
+            lo, hi = bounds[attr]
+            break
+    return CoveringKey(*skeleton, bounds, range_attribute, lo, hi)
 
 
 def _compute_covering_probes(
-    covering_key: Tuple[Tuple[str, ...], Dict[str, Tuple[AttributeValue, ...]]],
+    signature: Tuple[str, ...], eq_values: Dict[str, Tuple[AttributeValue, ...]]
 ) -> Optional[Tuple[Tuple[Tuple[str, ...], Tuple], ...]]:
     """Enumerate every :class:`CoveringIndex` bucket a cover of a
-    conjunction with this covering key could occupy, or ``None`` when the
-    enumeration would be too combinatorial to beat the bucket-scan
-    fallback.
+    conjunction with this signature and these EQ values could occupy, or
+    ``None`` when the enumeration would be too combinatorial to beat the
+    bucket-scan fallback.
 
     The probe set caps the enumerated probe *count*, not just the
     signature width: wide conjunctions (or many EQ values per attribute)
     multiply out, and past a point iterating thousands of bucket keys per
     cover query costs more than the index's fallback scan.
     """
-    signature, eq_values = covering_key
     limit = 256
     enumerated: Optional[List[Tuple[Tuple[str, ...], Tuple]]] = []
     for size in range(len(signature) + 1):
@@ -213,7 +302,7 @@ def _compute_covering_probes(
             break
         for sig in itertools.combinations(signature, size):
             option_lists = [
-                [("eq", value) for value in eq_values.get(attr, ())] + [("*",)]
+                [("eq", value) for value in eq_values.get(attr, ())] + [_ANY]
                 for attr in sig
             ]
             for fingerprint in itertools.product(*option_lists):
@@ -308,7 +397,7 @@ class PredicatePool:
 
     __slots__ = ("_predicate_ids", "_predicates", "_signature_ids", "_shapes",
                  "_subscriber_ids", "_subscribers", "_covering_keys",
-                 "_covering_probes", "_access_entries", "_shape_cache")
+                 "_covering_skeletons", "_access_entries", "_shape_cache")
 
     def __init__(self) -> None:
         self._predicate_ids: Dict[Predicate, int] = {}
@@ -317,10 +406,11 @@ class PredicatePool:
         self._shapes: List[SignatureShape] = []
         self._subscriber_ids: Dict[str, int] = {}
         self._subscribers: List[str] = []
-        # Covering-index keys/probes are pure functions of the signature;
-        # computed once per shape, shared by every subscription on it.
-        self._covering_keys: Dict[int, object] = {}
-        self._covering_probes: Dict[int, object] = {}
+        # A covering-index key is a pure function of the signature:
+        # computed once per shape, shared by every subscription on it (and
+        # its EQ-only fields by every shape with the same pinned values).
+        self._covering_keys: Dict[int, CoveringKey] = {}
+        self._covering_skeletons: Dict[Tuple, Tuple] = {}
         # Likewise the matching engine's access-predicate candidates.
         self._access_entries: Dict[int, Tuple] = {}
         # Literal (event_type, predicates tuple) -> shape.  Predicates are
@@ -400,23 +490,14 @@ class PredicatePool:
     def shape(self, signature_id: int) -> SignatureShape:
         return self._shapes[signature_id]
 
-    def covering_key_for(self, shape: SignatureShape):
-        """Shared covering-index bucket key for every subscription on
+    def covering_key_for(self, shape: SignatureShape) -> CoveringKey:
+        """Shared :class:`CoveringKey` for every subscription on
         ``shape`` (see :meth:`Subscription.covering_key`)."""
         key = self._covering_keys.get(shape.signature_id)
         if key is None:
-            key = _compute_covering_key(shape.predicates)
+            key = _compute_covering_key(shape.predicates, self._covering_skeletons)
             self._covering_keys[shape.signature_id] = key
         return key
-
-    def covering_probes_for(self, shape: SignatureShape):
-        """Shared covering probe enumeration for every subscription on
-        ``shape`` (see :meth:`Subscription.covering_probes`)."""
-        probes = self._covering_probes.get(shape.signature_id, _UNSET)
-        if probes is _UNSET:
-            probes = _compute_covering_probes(self.covering_key_for(shape))
-            self._covering_probes[shape.signature_id] = probes
-        return probes
 
     def access_entries_for(self, shape: SignatureShape) -> Tuple:
         """Shared access-predicate candidates (with their residuals) for
@@ -536,12 +617,14 @@ class Subscription:
     def attribute_names(self) -> Tuple[str, ...]:
         return tuple(sorted({predicate.attribute for predicate in self.predicates}))
 
-    def covering_key(self) -> Tuple[Tuple[str, ...], Dict[str, Tuple[AttributeValue, ...]]]:
-        """Cached ``(attribute signature, EQ-pinned values per attribute)``.
+    def covering_key(self) -> CoveringKey:
+        """Cached :class:`CoveringKey`: signature, EQ fingerprint and
+        numeric bounds, everything a :class:`CoveringIndex` files and
+        filters this subscription by.
 
-        The :class:`CoveringIndex` keys its buckets on this pair; the
-        subscription is immutable, so it is computed once and memoized on
-        the instance (callers must not mutate the returned dict).
+        The subscription is immutable, so it is computed once (per
+        interned shape) and memoized on the instance; callers must not
+        mutate the returned dicts.
         """
         key = self.__dict__.get("_covering_key")
         if key is None:
@@ -550,25 +633,9 @@ class Subscription:
                 # Shared across every subscription with this signature.
                 key = PREDICATE_POOL.covering_key_for(shape)
             else:
-                key = _compute_covering_key(self.predicates)
+                key = _compute_covering_key(self.predicates, {})
             object.__setattr__(self, "_covering_key", key)
         return key
-
-    def covering_probes(self) -> Optional[Tuple[Tuple[Tuple[str, ...], Tuple], ...]]:
-        """Cached (signature subset, fingerprint) bucket keys enumerating
-        every :class:`CoveringIndex` bucket a cover of this subscription
-        could occupy, or ``None`` when the enumeration would be too
-        combinatorial to beat the index's bucket-scan fallback."""
-        probes = self.__dict__.get("_covering_probes", False)
-        if probes is False:
-            shape = self.interned_shape()
-            if shape is not None:
-                # Shared across every subscription with this signature.
-                probes = PREDICATE_POOL.covering_probes_for(shape)
-            else:
-                probes = _compute_covering_probes(self.covering_key())
-            object.__setattr__(self, "_covering_probes", probes)
-        return probes
 
     def describe(self) -> str:
         if not self.predicates:
@@ -655,15 +722,11 @@ class SubscriptionTable:
 class _TypeBucket:
     """Per-event-type candidate buckets of a :class:`CoveringIndex`."""
 
-    __slots__ = ("members", "by_signature", "by_attribute", "by_eq")
+    __slots__ = ("by_signature", "by_eq")
 
     def __init__(self) -> None:
-        # subscription id -> subscription (everything indexed on this type)
-        self.members: Dict[str, Subscription] = {}
         # attribute signature -> fingerprint -> ids (see CoveringIndex)
         self.by_signature: Dict[Tuple[str, ...], Dict[Tuple, Set[str]]] = {}
-        # attribute -> ids of subscriptions constraining it
-        self.by_attribute: Dict[str, Set[str]] = {}
         # (attribute, value) -> ids holding an EQ predicate pinning it
         self.by_eq: Dict[Tuple[str, object], Set[str]] = {}
 
@@ -682,24 +745,32 @@ class CoveringIndex:
       covered subscription's (a predicate only covers predicates on its
       own attribute), so candidates bucket per event type by their sorted
       attribute *signature* and a cover query enumerates only the
-      signatures that are subsets of the target's.
+      signatures that are subsets of the target's (a covered-by query
+      without an EQ to look up walks the supersets).
     * An EQ predicate covers nothing but an EQ on the same value, so
       within a signature bucket candidates sub-key by a *fingerprint*
       marking each attribute ``("eq", value)`` or ``("*",)`` — candidates
       pinned to a different value are never touched.
+    * A numeric range covers only ranges inside it, so each entry carries
+      the ``(lo, hi)`` of one unpinned attribute (its key's
+      ``range_attribute``; see :func:`_numeric_bounds`) and a candidate
+      whose bounds cannot contain — or fit inside — the target's is
+      skipped on two compares.  The bounds are a necessary condition
+      only: ``covers()`` confirms every survivor, and entries or targets
+      without numeric bounds on that attribute are not filtered at all.
 
     Each entry carries an integer ``priority`` (the routing fabric uses
     its subscription issue sequence) so queries can be restricted to
-    candidates issued before/after a given point.  The bucket keys a
-    cover query must probe depend only on the target subscription and are
-    memoized on it (:meth:`Subscription.covering_probes`); signatures too
-    wide to enumerate fall back to scanning the type's signature buckets
-    with a subset check.
+    candidates issued before/after a given point.  Everything an entry is
+    filed and filtered by, and the bucket keys a cover query must probe,
+    is in its subscription's :class:`CoveringKey`, computed once per
+    interned shape.  Signatures too wide to enumerate fall back to
+    scanning the type's signature buckets with a subset check.
     """
 
     def __init__(self) -> None:
-        # id -> (subscription, priority, signature, fingerprint)
-        self._entries: Dict[str, Tuple[Subscription, int, Tuple[str, ...], Tuple]] = {}
+        # id -> (subscription, priority, its covering key)
+        self._entries: Dict[str, Tuple[Subscription, int, CoveringKey]] = {}
         self._types: Dict[str, _TypeBucket] = {}
         # Conservative priority bounds over the live entries (stale after
         # discards, which only makes the early-outs less effective, never
@@ -710,33 +781,19 @@ class CoveringIndex:
 
     # -- maintenance --------------------------------------------------------
 
-    @staticmethod
-    def _fingerprint(
-        subscription: Subscription, signature: Tuple[str, ...]
-    ) -> Tuple:
-        eq_values = subscription.covering_key()[1]
-        return tuple(
-            ("eq", eq_values[attr][0]) if attr in eq_values else ("*",)
-            for attr in signature
-        )
-
     def add(self, subscription: Subscription, priority: int = 0) -> None:
         subscription_id = subscription.subscription_id
         if subscription_id in self._entries:
             self.discard(subscription_id)
-        signature, eq_values = subscription.covering_key()
-        fingerprint = self._fingerprint(subscription, signature)
+        key = subscription.covering_key()
         bucket = self._types.setdefault(subscription.event_type, _TypeBucket())
-        bucket.members[subscription_id] = subscription
-        bucket.by_signature.setdefault(signature, {}).setdefault(
-            fingerprint, set()
+        bucket.by_signature.setdefault(key.signature, {}).setdefault(
+            key.fingerprint, set()
         ).add(subscription_id)
-        for attr in signature:
-            bucket.by_attribute.setdefault(attr, set()).add(subscription_id)
-        for attr, values in eq_values.items():
+        for attr, values in key.eq_values.items():
             for value in values:
                 bucket.by_eq.setdefault((attr, value), set()).add(subscription_id)
-        self._entries[subscription_id] = (subscription, priority, signature, fingerprint)
+        self._entries[subscription_id] = (subscription, priority, key)
         if self._min_priority is None or priority < self._min_priority:
             self._min_priority = priority
         if self._max_priority is None or priority > self._max_priority:
@@ -746,32 +803,22 @@ class CoveringIndex:
         entry = self._entries.pop(subscription_id, None)
         if entry is None:
             return False
-        subscription, _priority, signature, fingerprint = entry
+        subscription, _priority, key = entry
         bucket = self._types[subscription.event_type]
-        bucket.members.pop(subscription_id, None)
-        fmap = bucket.by_signature.get(signature)
-        if fmap is not None:
-            ids = fmap.get(fingerprint)
-            if ids is not None:
-                ids.discard(subscription_id)
-                if not ids:
-                    del fmap[fingerprint]
+        fmap = bucket.by_signature[key.signature]
+        ids = fmap[key.fingerprint]
+        ids.discard(subscription_id)
+        if not ids:
+            del fmap[key.fingerprint]
             if not fmap:
-                del bucket.by_signature[signature]
-        for attr in signature:
-            ids = bucket.by_attribute.get(attr)
-            if ids is not None:
+                del bucket.by_signature[key.signature]
+        for attr, values in key.eq_values.items():
+            for value in values:
+                ids = bucket.by_eq[(attr, value)]
                 ids.discard(subscription_id)
                 if not ids:
-                    del bucket.by_attribute[attr]
-        for attr, values in subscription.covering_key()[1].items():
-            for value in values:
-                ids = bucket.by_eq.get((attr, value))
-                if ids is not None:
-                    ids.discard(subscription_id)
-                    if not ids:
-                        del bucket.by_eq[(attr, value)]
-        if not bucket.members:
+                    del bucket.by_eq[(attr, value)]
+        if not bucket.by_signature:
             del self._types[subscription.event_type]
         if not self._entries:
             self._min_priority = None
@@ -812,26 +859,30 @@ class CoveringIndex:
             return
         entries = self._entries
         candidate_sets: List[Set[str]] = []
-        probes = subscription.covering_probes()
-        if probes is not None:
+        target = subscription.covering_key()
+        if target.probes is not None:
             by_signature = bucket.by_signature
-            for sig, fingerprint in probes:
+            for sig, fingerprint in target.probes:
                 fmap = by_signature.get(sig)
                 if fmap:
                     ids = fmap.get(fingerprint)
                     if ids:
                         candidate_sets.append(ids)
-        else:  # pragma: no cover - very wide conjunctions
-            attrs = set(subscription.covering_key()[0])
+        else:
+            attrs = set(target.signature)
             for sig, fmap in bucket.by_signature.items():
-                if set(sig) <= attrs:
+                if attrs.issuperset(sig):
                     candidate_sets.extend(fmap.values())
+        bounds = target.bounds
         for ids in candidate_sets:
             for subscription_id in list(ids):
                 if subscription_id == exclude:
                     continue
-                candidate, priority, _sig, _fp = entries[subscription_id]
+                candidate, priority, key = entries[subscription_id]
                 if before is not None and priority >= before:
+                    continue
+                held = bounds.get(key.range_attribute)
+                if held is not None and (key.lo > held[0] or key.hi < held[1]):
                     continue
                 if candidate.covers(subscription):
                     yield candidate
@@ -855,8 +906,8 @@ class CoveringIndex:
         bucket = self._types.get(subscription.event_type)
         if bucket is None:
             return None
-        probes = subscription.covering_probes()
-        if probes is None:  # pragma: no cover - very wide conjunctions
+        target = subscription.covering_key()
+        if target.probes is None:
             for candidate in self.covers_of(
                 subscription, before=before, exclude=exclude
             ):
@@ -864,7 +915,8 @@ class CoveringIndex:
             return None
         entries = self._entries
         by_signature = bucket.by_signature
-        for sig, fingerprint in probes:
+        bounds = target.bounds
+        for sig, fingerprint in target.probes:
             fmap = by_signature.get(sig)
             if not fmap:
                 continue
@@ -874,8 +926,11 @@ class CoveringIndex:
             for subscription_id in ids:
                 if subscription_id == exclude:
                     continue
-                candidate, priority, _sig, _fp = entries[subscription_id]
+                candidate, priority, key = entries[subscription_id]
                 if before is not None and priority >= before:
+                    continue
+                held = bounds.get(key.range_attribute)
+                if held is not None and (key.lo > held[0] or key.hi < held[1]):
                     continue
                 if candidate.covers(subscription):
                     return candidate
@@ -891,9 +946,11 @@ class CoveringIndex:
 
         A covered candidate constrains a superset of the target's
         attributes and, where the target pins an attribute with EQ, is
-        pinned to the same value — the candidate pool comes from the
-        smallest such structural bucket before ``covers()`` confirms.
-        With ``after`` only entries with strictly higher priority return.
+        pinned to the same value — the candidate pool is the smallest
+        such EQ bucket, or without one the signature buckets that are
+        supersets of the target's; the bounds filter and then ``covers()``
+        confirm.  With ``after`` only entries with strictly higher
+        priority return.
         """
         if after is not None and (
             self._max_priority is None or self._max_priority <= after
@@ -902,29 +959,37 @@ class CoveringIndex:
         bucket = self._types.get(subscription.event_type)
         if bucket is None:
             return []
-        signature, eq_values = subscription.covering_key()
-        if not signature:
-            pool: Iterable[str] = list(bucket.members)
+        target = subscription.covering_key()
+        pool: Iterable[str]
+        if target.eq_values:
+            pool = min(
+                (
+                    bucket.by_eq.get((attr, value), ())
+                    for attr, values in target.eq_values.items()
+                    for value in values
+                ),
+                key=len,
+            )
         else:
-            smallest: Optional[Set[str]] = None
-            for attr in signature:
-                if attr in eq_values:
-                    options = [
-                        bucket.by_eq.get((attr, value), set())
-                        for value in eq_values[attr]
-                    ]
-                else:
-                    options = [bucket.by_attribute.get(attr, set())]
-                narrowest = min(options, key=len)
-                if smallest is None or len(narrowest) < len(smallest):
-                    smallest = narrowest
-            pool = list(smallest) if smallest else []
+            attrs = set(target.signature)
+            pool = (
+                subscription_id
+                for sig, fmap in bucket.by_signature.items()
+                if attrs.issubset(sig)
+                for ids in fmap.values()
+                for subscription_id in ids
+            )
+        entries = self._entries
+        bounds = target.bounds
         result: List[Subscription] = []
         for subscription_id in pool:
             if subscription_id == exclude:
                 continue
-            candidate, priority, _sig, _fp = self._entries[subscription_id]
+            candidate, priority, key = entries[subscription_id]
             if after is not None and priority <= after:
+                continue
+            held = bounds.get(key.range_attribute)
+            if held is not None and (held[0] > key.lo or held[1] < key.hi):
                 continue
             if subscription.covers(candidate):
                 result.append(candidate)

@@ -152,8 +152,11 @@ class Histogram:
         upper = int(math.ceil(position))
         if lower == upper:
             return ordered[lower]
-        fraction = position - lower
-        return ordered[lower] * (1 - fraction) + ordered[upper] * fraction
+        below, above = ordered[lower], ordered[upper]
+        # Clamped: rounding must never take a percentile outside the two
+        # samples it lies between (and so outside [minimum, maximum]).
+        value = below + (above - below) * (position - lower)
+        return min(max(value, below), above)
 
     def samples(self) -> Tuple[float, ...]:
         return tuple(self._samples)

@@ -21,7 +21,8 @@ from repro.cluster.broker_cluster import (
 )
 from repro.cluster.recovery import routing_converged
 from repro.pubsub.events import Event
-from repro.pubsub.subscriptions import Subscription
+from repro.pubsub.subscriptions import Operator, Predicate, Subscription
+from repro.sim.rng import SeededRNG
 
 
 def _subscribed_cluster(topology: str, num_brokers: int):
@@ -137,3 +138,125 @@ class TestLinkEventCallbacks:
         cluster.fail_link("b0", "b1")
         cluster.restore_link("b0", "b1")
         assert seen == [("failed", "b0", "b1"), ("restored", "b0", "b1")]
+
+
+class TestNestedRangeChurn:
+    """Covering over numeric ranges on a ring, held to the rebuild oracle.
+
+    The other churn suites draw ``EQ`` / ``>=`` populations, where the
+    covering index's bounds filter has nothing to reject.  This is the
+    repo benchmark's ``sim_churn`` shape at 1/20 scale: residents are
+    nested price ranges per (topic, family); each step subscribes covers
+    wider than a whole family plus victims nested inside the *previous*
+    step's covers, then retracts the previous batch — so victims are
+    pruned on arrival and readmitted a step later.
+    """
+
+    TOPICS, FAMILIES, LEVELS, LEVEL_STEP = 40, 2, 5, 4
+
+    @staticmethod
+    def _range(sid, topic, centre, half):
+        return Subscription(
+            event_type="tick",
+            predicates=(
+                Predicate("topic", Operator.EQ, topic),
+                Predicate("price", Operator.GE, float(centre - half)),
+                Predicate("price", Operator.LE, float(centre + half)),
+            ),
+            subscriber="u",
+            subscription_id=sid,
+        )
+
+    @staticmethod
+    def _assert_tables_minimal(fabric, issued, note):
+        """Brute force, no index: the rebuild oracle shares the covering
+        index with the fabric it checks, so hold each edge table to the
+        placement rule directly — no entry is covered by an earlier-issued
+        entry of the same table."""
+        for node, tables in fabric.routing_snapshot().items():
+            for via, ids in tables.items():
+                by_topic = {}
+                for sid in ids:
+                    by_topic.setdefault(issued[sid][1].predicates[0].value, []).append(sid)
+                for group in by_topic.values():
+                    for sid in group:
+                        seq, sub = issued[sid]
+                        covers = [
+                            other
+                            for other in group
+                            if issued[other][0] < seq and issued[other][1].covers(sub)
+                        ]
+                        assert not covers, f"{note}: {sid} kept at {node}->{via} under {covers}"
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_retract_and_readmit_stay_canonical(self, seed):
+        rng = SeededRNG(seed)
+        cluster = BrokerCluster(allow_cycles=True)
+        names = build_cluster_topology("ring", 6, cluster)
+        fabric = cluster.fabric
+        fabric.verify_repairs = True
+        step_size = self.LEVEL_STEP
+        families = [
+            (f"t{topic:02d}", 100 + 200 * family)
+            for topic in range(self.TOPICS)
+            for family in range(self.FAMILIES)
+        ]
+        residents = [
+            (topic, centre, level)
+            for topic, centre in families
+            for level in range(self.LEVELS)
+        ]
+        rng.shuffle(residents)
+        placement = {name: [] for name in names}
+        for index, (topic, centre, level) in enumerate(residents):
+            placement[names[index % len(names)]].append(
+                self._range(f"s{index:04d}", topic, centre, (level + 1) * step_size)
+            )
+        issued = {}
+        for name in names:
+            cluster.subscribe_many(name, placement[name])
+            for sub in placement[name]:
+                issued[sub.subscription_id] = (len(issued), sub)
+        assert fabric.routing_snapshot() == fabric.rebuilt_snapshot(), f"seed={seed}"
+        self._assert_tables_minimal(fabric, issued, f"seed={seed} residents")
+
+        readmitted = cluster.metrics.counter("overlay.routes_readmitted")
+        previous_home, previous_batch, previous_covers = names[0], [], []
+        for step in range(10):
+            home = names[step % len(names)]
+            covers = rng.sample(families, 5)
+            batch = [
+                self._range(
+                    f"c{step:02d}-{offset}", topic, centre,
+                    (self.LEVELS + 2 + offset % 3) * step_size,
+                )
+                for offset, (topic, centre) in enumerate(covers)
+            ]
+            # Beyond the widest resident and inside last step's covers,
+            # touching the upper (even offsets) or lower edge of the
+            # narrowest one: equal bounds must still prune.
+            edge = (self.LEVELS + 2) * step_size - 1
+            batch += [
+                self._range(
+                    f"n{step:02d}-{offset}", topic,
+                    centre + (edge if offset % 2 == 0 else -edge), 1,
+                )
+                for offset, (topic, centre) in enumerate(previous_covers)
+            ]
+            cluster.subscribe_many(home, batch)
+            for sub in batch:
+                issued[sub.subscription_id] = (len(issued), sub)
+            note = f"seed={seed} step={step}"
+            assert fabric.routing_snapshot() == fabric.rebuilt_snapshot(), note
+            self._assert_tables_minimal(fabric, issued, note)
+            results = cluster.unsubscribe_many(
+                previous_home, [sub.subscription_id for sub in previous_batch]
+            )
+            assert all(results), note
+            assert fabric.routing_snapshot() == fabric.rebuilt_snapshot(), note
+            self._assert_tables_minimal(fabric, issued, note)
+            previous_home, previous_batch, previous_covers = home, batch, covers
+        assert readmitted.value > 0, f"seed={seed}: no victim was ever readmitted"
+        assert fabric.total_routing_state() < 6 * len(residents), (
+            f"seed={seed}: covering pruned nothing"
+        )

@@ -3,7 +3,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.ir.metrics import precision_at_k, recall_at_k
@@ -155,6 +155,7 @@ class TestSimulationProperties:
         assert len(fired) == len(delays)
 
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=100))
+    @example([5e-324, 5e-324])
     @settings(max_examples=60, deadline=None)
     def test_histogram_percentiles_bounded_by_min_max(self, values):
         histogram = Histogram("x")

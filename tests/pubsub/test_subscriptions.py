@@ -298,35 +298,206 @@ class TestCoveringIndex:
             sub = self._sub(f"r{i:03d}", *predicates)
             population.append((sub, i))
             index.add(sub, priority=i)
+        live = {sub.subscription_id: (sub, priority) for sub, priority in population}
         for target, priority in population:
-            expected_covers = sorted(
-                s.subscription_id
-                for s, p in population
-                if s.subscription_id != target.subscription_id
-                and p < priority
-                and s.covers(target)
+            self._assert_matches_sweep(
+                index, live, target, priority, target.subscription_id,
+                f"target={target.describe()} priority={priority}",
             )
-            got_covers = sorted(
-                s.subscription_id
-                for s in index.covers_of(
-                    target, before=priority, exclude=target.subscription_id
+
+    # -- index vs brute force on numeric ranges -------------------------------
+
+    @staticmethod
+    def _assert_matches_sweep(index, live, target, bound, exclude, note):
+        """All three queries equal the pairwise ``covers()`` sweep over
+        ``live`` (id -> (subscription, priority))."""
+        expected_covers = sorted(
+            sid
+            for sid, (sub, priority) in live.items()
+            if sid != exclude
+            and (bound is None or priority < bound)
+            and sub.covers(target)
+        )
+        got_covers = sorted(
+            s.subscription_id
+            for s in index.covers_of(target, before=bound, exclude=exclude)
+        )
+        assert got_covers == expected_covers, f"covers_of {note}"
+        first = index.first_cover(target, before=bound, exclude=exclude)
+        if expected_covers:
+            assert first is not None, f"first_cover missed {note}"
+            assert first.subscription_id in expected_covers, f"first_cover {note}"
+        else:
+            assert first is None, f"first_cover invented a cover {note}"
+        expected_covered = sorted(
+            sid
+            for sid, (sub, priority) in live.items()
+            if sid != exclude
+            and (bound is None or priority > bound)
+            and target.covers(sub)
+        )
+        got_covered = sorted(
+            s.subscription_id
+            for s in index.covered_by(target, after=bound, exclude=exclude)
+        )
+        assert got_covered == expected_covered, f"covered_by {note}"
+
+    @staticmethod
+    def _assert_no_empty_buckets(index, note):
+        for bucket in index._types.values():
+            assert bucket.by_signature, f"empty type bucket {note}"
+            for fmap in bucket.by_signature.values():
+                assert fmap and all(fmap.values()), f"empty signature bucket {note}"
+            assert all(bucket.by_eq.values()), f"empty EQ bucket {note}"
+
+    @staticmethod
+    def _range_predicates(rng):
+        """A conjunction over ``topic`` / ``price`` / ``qty`` drawing every
+        shape the bounds filter must get right or stay out of."""
+        lower, upper = (Operator.GE, Operator.GT), (Operator.LE, Operator.LT)
+        numbers = (0, 1, 3, 5, 5.0, 5.5, 7, 9, float("inf"), float("-inf"))
+        odd = (float("nan"), True, "5")
+        predicates = []
+        if rng.random() < 0.6:
+            predicates.append(Predicate("topic", Operator.EQ, rng.choice("ab")))
+        for attribute, presence in (("price", 0.9), ("qty", 0.3)):
+            if rng.random() >= presence:
+                continue
+            kind = rng.randint(0, 9)
+            if kind == 0:
+                ops = (rng.choice(lower),)
+            elif kind == 1:
+                ops = (rng.choice(upper),)
+            elif kind in (2, 3, 4):
+                ops = (rng.choice(lower), rng.choice(upper))
+            elif kind == 5:
+                ops = (rng.choice(lower), rng.choice(lower))
+            elif kind == 6:
+                ops = (Operator.EQ,)
+            else:
+                ops = (rng.choice(lower + upper),)
+            for op in ops:
+                value = rng.choice(odd) if kind == 7 else rng.choice(numbers)
+                predicates.append(Predicate(attribute, op, value))
+            if kind == 8:
+                predicates.append(
+                    rng.choice(
+                        (
+                            Predicate(attribute, Operator.NE, 5),
+                            Predicate(attribute, Operator.PREFIX, "5"),
+                            Predicate(attribute, Operator.EXISTS),
+                        )
+                    )
                 )
-            )
-            assert got_covers == expected_covers
-            expected_covered = sorted(
-                s.subscription_id
-                for s, p in population
-                if s.subscription_id != target.subscription_id
-                and p > priority
-                and target.covers(s)
-            )
-            got_covered = sorted(
-                s.subscription_id
-                for s in index.covered_by(
-                    target, after=priority, exclude=target.subscription_id
+            elif kind == 9:
+                predicates.append(Predicate(attribute, Operator.EQ, rng.choice(numbers)))
+        rng.shuffle(predicates)
+        return predicates
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_brute_force_on_range_boxes(self, seed):
+        """Two-sided, strict, EQ-on-the-edge, mixed-type and non-numeric
+        constraints on the range attribute, under add / discard / re-add:
+        the bounds filter must never change an answer."""
+        from repro.sim.rng import SeededRNG
+
+        rng = SeededRNG(seed)
+        index = self._index()
+        pool = [
+            self._sub(f"x{seed}-{i:03d}", *self._range_predicates(rng))
+            for i in range(70)
+        ]
+        live = {}
+        priority = 0
+        for step in range(150):
+            priority += 1
+            roll = rng.random()
+            if live and roll < 0.25:
+                touched = live.pop(rng.choice(sorted(live)))[0]
+                assert index.discard(touched.subscription_id)
+            elif live and roll < 0.4:
+                touched = live[rng.choice(sorted(live))][0]
+                index.add(touched, priority=priority)
+                live[touched.subscription_id] = (touched, priority)
+            else:
+                touched = rng.choice(pool)
+                index.add(touched, priority=priority)
+                live[touched.subscription_id] = (touched, priority)
+            assert len(index) == len(live)
+            self._assert_no_empty_buckets(index, f"seed={seed} step={step}")
+            for target in [touched] + rng.sample(pool, 3):
+                bound = rng.choice((None, rng.randint(0, priority + 1)))
+                exclude = rng.choice((None, target.subscription_id))
+                note = (
+                    f"seed={seed} step={step} bound={bound} exclude={exclude} "
+                    f"target={target.describe()}"
                 )
+                self._assert_matches_sweep(index, live, target, bound, exclude, note)
+        for subscription_id in sorted(live):
+            index.discard(subscription_id)
+        assert index._types == {} and len(index) == 0, f"seed={seed}"
+
+    def test_strict_bound_does_not_cover_equality_on_the_edge(self):
+        index = self._index()
+        strict = self._sub("gt5", Predicate("price", Operator.GT, 5))
+        loose = self._sub("ge5", Predicate("price", Operator.GE, 5))
+        index.add(strict, priority=1)
+        index.add(loose, priority=2)
+        edge = self._sub("eq5", Predicate("price", Operator.EQ, 5))
+        assert [s.subscription_id for s in index.covers_of(edge)] == ["ge5"]
+        inside = self._sub("eq6", Predicate("price", Operator.EQ, 6.0))
+        assert sorted(s.subscription_id for s in index.covers_of(inside)) == [
+            "ge5",
+            "gt5",
+        ]
+        outside = self._sub("eq4", Predicate("price", Operator.EQ, 4))
+        assert index.first_cover(outside) is None
+        index.add(edge, priority=3)
+        assert sorted(
+            s.subscription_id for s in index.covered_by(loose, exclude="ge5")
+        ) == ["eq5", "gt5"]
+        assert "eq5" not in {
+            s.subscription_id for s in index.covered_by(strict, exclude="gt5")
+        }
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_wide_conjunction_falls_back_to_signature_scan(self, seed):
+        """Nine unpinned attributes give 512 candidate buckets, past the
+        256-probe cap: both cover queries scan the signature buckets."""
+        from repro.sim.rng import SeededRNG
+
+        rng = SeededRNG(seed)
+        attributes = [f"a{i}" for i in range(9)]
+        index = self._index()
+        live = {}
+        for i in range(60):
+            chosen = rng.sample(attributes, rng.randint(0, 4))
+            if rng.random() < 0.2:
+                chosen.append("elsewhere")
+            sub = self._sub(
+                f"w{seed}-{i:03d}",
+                *(
+                    Predicate(attr, rng.choice((Operator.GE, Operator.LE)), rng.randint(0, 6))
+                    for attr in chosen
+                ),
             )
-            assert got_covered == expected_covered
+            index.add(sub, priority=i)
+            live[sub.subscription_id] = (sub, i)
+        hits = 0
+        for i in range(20):
+            target = self._sub(
+                f"wt{seed}-{i:03d}",
+                *(
+                    Predicate(attr, rng.choice((Operator.GE, Operator.LE)), rng.randint(0, 6))
+                    for attr in attributes
+                ),
+            )
+            assert target.covering_key().probes is None
+            bound = rng.choice((None, rng.randint(0, 60)))
+            note = f"seed={seed} bound={bound} target={target.describe()}"
+            self._assert_matches_sweep(index, live, target, bound, None, note)
+            hits += index.first_cover(target) is not None
+        assert hits, f"seed={seed}: population too sparse for a fallback hit"
 
 
 class TestPredicatePool:
