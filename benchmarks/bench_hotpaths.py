@@ -39,6 +39,10 @@ These pin the cost of the two inner loops everything else sits on:
   decoded, validated and re-emitted as the onward batch plus 32 ``event``
   pushes, with the event members spliced from the received bytes
   (PR 15; see "Wire transport / Encode once");
+* the egress hop and its subscriber: the same batch pushed to one session
+  as a single ``event_batch`` frame and decoded into 32 deliveries, with
+  the 32-``event``-frame equivalent timed beside it (PR 19; see "Wire
+  transport / Batched delivery push");
 * the covering index's worst bucket: 10 000 ``EQ``-free price ranges
   under one ``(signature, fingerprint)`` key, scanned linearly with the
   numeric-bounds filter in front of ``covers()`` (PR 16; see "Control
@@ -808,6 +812,18 @@ def test_hp_batch_subscribe_vs_loop(benchmark):
     )
 
 
+def _wire_bench_events(count=32):
+    """The events of one ``publish_many`` batch on the wire benches."""
+    return [
+        Event(
+            "bench.event",
+            {"topic": f"topic-{index:05d}", "source": f"src-{index % 16:02d}"},
+            event_id=f"e-{index:07d}",
+        )
+        for index in range(count)
+    ]
+
+
 def test_hp_wire_hop_codec(benchmark):
     """The codec work of one transit hop, no sockets (PR 15).
 
@@ -819,14 +835,7 @@ def test_hp_wire_hop_codec(benchmark):
     """
     from repro.net import wire
 
-    events = [
-        Event(
-            "bench.event",
-            {"topic": f"topic-{index:05d}", "source": f"src-{index % 16:02d}"},
-            event_id=f"e-{index:07d}",
-        )
-        for index in range(32)
-    ]
+    events = _wire_bench_events()
     subscription_ids = ["s-0000001", "s-0000002"]
     (payload,) = wire.FrameDecoder().feed(
         wire.forward_batch_frame([(event, 1, 1234.5678) for event in events])
@@ -849,6 +858,72 @@ def test_hp_wire_hop_codec(benchmark):
     )
     assert frames[1] == wire.event_frame(events[0], subscription_ids, 1234.5678, 2)
     benchmark.extra_info.update({"members": 32, "frames_out": len(frames)})
+
+
+def test_hp_wire_egress_batch(benchmark):
+    """The codec work of the egress hop and its subscriber, no sockets
+    (PR 19).
+
+    One received 32-member ``forward_batch`` payload is decoded and
+    validated, the egress broker builds the session's push — one
+    ``event_batch`` frame — and the client side turns it into 32
+    deliveries.  The per-event equivalent (32 ``event`` frames, each
+    decoded on its own) is timed into ``extra_info``.
+    """
+    import time
+
+    from repro.net import wire
+    from repro.net.client import BrokerClient
+
+    events = _wire_bench_events()
+    subscription_ids = ["s-0000001", "s-0000002", "s-0000003", "s-0000004"]
+    (payload,) = wire.FrameDecoder().feed(
+        wire.forward_batch_frame([(event, 2, 1234.5678) for event in events])
+    )
+    client = BrokerClient("127.0.0.1", 0)
+    queue = client._events
+
+    def arrive():
+        return [
+            (wire.decode_event(item[0]), subscription_ids, item[2], item[1])
+            for item in wire.decode_payload(payload).body["members"]
+        ]
+
+    def receive(frames):
+        decoder = wire.FrameDecoder()
+        for frame in frames:
+            for pushed in decoder.feed(frame):
+                client._handle_payload(pushed)
+        return [queue.get_nowait() for _ in range(queue.qsize())]
+
+    def batched():
+        return receive(wire.event_push_frames(arrive()))
+
+    def per_event():
+        return receive([wire.event_frame(*member) for member in arrive()])
+
+    def stripped(deliveries):
+        return [(d.event, d.subscription_ids, d.origin_ts, d.hops) for d in deliveries]
+
+    rounds = 50
+    started = time.perf_counter()
+    for _ in range(rounds):
+        singles = per_event()
+    per_event_s = (time.perf_counter() - started) / rounds
+
+    deliveries = benchmark(batched)
+    assert len(deliveries) == 32
+    assert stripped(deliveries) == stripped(singles)
+    assert stripped(deliveries)[0] == (events[0], tuple(subscription_ids), 1234.5678, 2)
+    batch_s = benchmark.stats.stats.mean if benchmark.stats else None
+    benchmark.extra_info.update(
+        {
+            "members": 32,
+            "frames_out": len(wire.event_push_frames(arrive())),
+            "per_event_frames_us": round(per_event_s * 1e6, 1),
+            "batch_us": round(batch_s * 1e6, 1) if batch_s else None,
+        }
+    )
 
 
 def test_hp_covering_range_bucket(benchmark):

@@ -95,7 +95,9 @@ class Delivery:
     end to end (0.0 when the publisher did not stamp); ``received_at`` is
     this process's monotonic receive time, so ``received_at - origin_ts``
     is measured end-to-end latency when publisher and subscriber share a
-    clock (same host, as in the launcher's localhost topologies).
+    clock (same host, as in the launcher's localhost topologies).  It is
+    read once per push frame: the members of an ``event_batch`` arrived in
+    the same bytes and share one stamp.
     """
 
     event: Event
@@ -240,31 +242,14 @@ class BrokerClient:
                 )
         elif message.msg_type == "event":
             body = message.body
-            subscription_ids = body.get("subs", ())
-            if not isinstance(subscription_ids, (list, tuple)):
-                return
-            try:
-                delivery = Delivery(
-                    event=wire.decode_event(body.get("event")),
-                    subscription_ids=tuple(subscription_ids),
-                    origin_ts=wire.decode_origin_ts(body.get("ots", 0.0)),
-                    hops=wire.decode_hops(body.get("hops", 0)),
-                    received_at=time.monotonic(),
-                )
-            except ProtocolError:
-                # A malformed push is skipped like an undecodable frame;
-                # the session and its read loop carry on.
-                return
-            try:
-                self._events.put_nowait(delivery)
-            except asyncio.QueueFull:
-                # The consumer is not draining; drop-oldest keeps the
-                # session alive rather than deadlocking the read loop.
-                try:
-                    self._events.get_nowait()
-                except asyncio.QueueEmpty:  # pragma: no cover - racy guard
-                    pass
-                self._events.put_nowait(delivery)
+            self._deliver([[
+                body.get("event"), body.get("subs", []),
+                body.get("ots", 0.0), body.get("hops", 0),
+            ]])
+        elif message.msg_type == "event_batch":
+            members = message.body.get("members")
+            if isinstance(members, list):
+                self._deliver(members)
         elif message.msg_type == "error":
             request_id = message.request_id
             if request_id:
@@ -277,16 +262,57 @@ class BrokerClient:
                 )
         # Anything else from the broker is ignored (forward compatibility).
 
+    def _deliver(self, members: List[Any]) -> None:
+        """Queue one push frame's ``[event, subs, ots, hops]`` members as
+        deliveries.  A malformed member is skipped like an undecodable
+        frame; the rest of the frame, the session and its read loop carry
+        on."""
+        received_at = time.monotonic()
+        events = self._events
+        for member in members:
+            if not isinstance(member, list) or len(member) != 4:
+                continue
+            event, subscription_ids, origin_ts, hops = member
+            if not isinstance(subscription_ids, list) or not all(
+                type(subscription_id) is str for subscription_id in subscription_ids
+            ):
+                continue
+            try:
+                delivery = Delivery(
+                    event=wire.decode_event(event),
+                    subscription_ids=tuple(subscription_ids),
+                    origin_ts=wire.decode_origin_ts(origin_ts),
+                    hops=wire.decode_hops(hops),
+                    received_at=received_at,
+                )
+            except ProtocolError:
+                continue
+            try:
+                events.put_nowait(delivery)
+            except asyncio.QueueFull:
+                # The consumer is not draining; drop-oldest keeps the
+                # session alive rather than deadlocking the read loop.
+                try:
+                    events.get_nowait()
+                except asyncio.QueueEmpty:  # pragma: no cover - racy guard
+                    pass
+                events.put_nowait(delivery)
+
     async def _request(self, build_frame: Any, timeout: float = 30.0) -> Any:
         """Send ``build_frame(request_id)`` and await the correlated ack."""
         if self._writer is None:
             raise ConnectionError("client is not connected")
         request_id, future = self._pending.issue()
-        frame = build_frame(request_id)
-        async with self._send_lock:
-            self._writer.write(frame)
-            await self._writer.drain()
-        return await asyncio.wait_for(future, timeout=timeout)
+        try:
+            frame = build_frame(request_id)
+            async with self._send_lock:
+                self._writer.write(frame)
+                await self._writer.drain()
+            return await asyncio.wait_for(future, timeout=timeout)
+        finally:
+            # A reply pops the entry itself; a timeout, a failed write or a
+            # cancelled caller must not leave it behind.
+            self._pending.futures.pop(request_id, None)
 
     # -- public API --------------------------------------------------------
 

@@ -217,6 +217,11 @@ def unpackb(data: bytes, offset: int = 0) -> Any:
 
 _TRUNCATED = "msgpack data truncated"
 
+
+def _invalid_utf8(error: UnicodeDecodeError) -> MsgpackError:
+    return MsgpackError(f"invalid UTF-8 in msgpack string: {error}")
+
+
 #: marker -> (bound ``unpack_from``, width) of the fixed-width numbers.
 _NUMBERS = {
     0xCA: (struct.Struct(">f").unpack_from, 4),
@@ -266,9 +271,7 @@ def _unpack(data: bytes, offset: int) -> Tuple[Any, int]:
             try:
                 return raw.decode("utf-8"), end
             except UnicodeDecodeError as error:
-                raise MsgpackError(
-                    f"invalid UTF-8 in msgpack string: {error}"
-                ) from None
+                raise _invalid_utf8(error) from None
         if marker >= 0x90:  # fixarray
             return _unpack_array(data, offset, marker & 0x0F)
         return _unpack_map(data, offset - 1, offset, marker & 0x0F)  # fixmap
@@ -313,7 +316,7 @@ def _unpack_str(data: bytes, offset: int, size: int) -> Tuple[str, int]:
     try:
         return raw.decode("utf-8"), end
     except UnicodeDecodeError as error:
-        raise MsgpackError(f"invalid UTF-8 in msgpack string: {error}") from None
+        raise _invalid_utf8(error) from None
 
 
 def _unpack_bin(data: bytes, offset: int, size: int) -> Tuple[bytes, int]:
@@ -324,12 +327,45 @@ def _unpack_bin(data: bytes, offset: int, size: int) -> Tuple[bytes, int]:
     return raw, end
 
 
+# The two container loops decode positive fixint, fixstr and float64 in
+# place — four values in five of every data-plane frame are one of the
+# three — and hand every other marker to ``_unpack``.  Each inlined block
+# is ``_unpack``'s own branch for that marker: same bounds checks in the
+# same order, same exception classes.
+
+_UNPACK_F64 = _NUMBERS[0xCB][0]
+
+
 def _unpack_array(data: bytes, offset: int, size: int) -> Tuple[List[Any], int]:
     items: List[Any] = []
     append = items.append
     for _ in range(size):
-        value, offset = _unpack(data, offset)
-        append(value)
+        try:
+            marker = data[offset]
+        except IndexError:
+            raise MsgpackTruncated(_TRUNCATED) from None
+        if marker <= 0x7F:  # positive fixint
+            append(marker)
+            offset += 1
+        elif 0xA0 <= marker <= 0xBF:  # fixstr
+            begin = offset + 1
+            offset = begin + marker - 0xA0
+            raw = data[begin:offset]
+            if len(raw) != marker - 0xA0:
+                raise MsgpackTruncated(_TRUNCATED)
+            try:
+                append(raw.decode("utf-8"))
+            except UnicodeDecodeError as error:
+                raise _invalid_utf8(error) from None
+        elif marker == 0xCB:  # float64
+            try:
+                append(_UNPACK_F64(data, offset + 1)[0])
+            except struct.error:
+                raise MsgpackTruncated(_TRUNCATED) from None
+            offset += 9
+        else:
+            value, offset = _unpack(data, offset)
+            append(value)
     return items, offset
 
 
@@ -339,12 +375,51 @@ def _unpack_map(
     """``start`` is the map's marker byte, ``offset`` its first key."""
     result = SpanMap()
     for _ in range(size):
-        key, offset = _unpack(data, offset)
-        if type(key) is not str:
+        try:
+            marker = data[offset]
+        except IndexError:
+            raise MsgpackTruncated(_TRUNCATED) from None
+        if 0xA0 <= marker <= 0xBF:  # fixstr key
+            begin = offset + 1
+            offset = begin + marker - 0xA0
+            raw = data[begin:offset]
+            if len(raw) != marker - 0xA0:
+                raise MsgpackTruncated(_TRUNCATED)
             try:
-                hash(key)
-            except TypeError:
-                raise MsgpackError("unhashable msgpack map key") from None
-        result[key], offset = _unpack(data, offset)
+                key = raw.decode("utf-8")
+            except UnicodeDecodeError as error:
+                raise _invalid_utf8(error) from None
+        else:
+            key, offset = _unpack(data, offset)
+            if type(key) is not str:
+                try:
+                    hash(key)
+                except TypeError:
+                    raise MsgpackError("unhashable msgpack map key") from None
+        try:
+            marker = data[offset]
+        except IndexError:
+            raise MsgpackTruncated(_TRUNCATED) from None
+        if marker <= 0x7F:  # positive fixint
+            result[key] = marker
+            offset += 1
+        elif 0xA0 <= marker <= 0xBF:  # fixstr
+            begin = offset + 1
+            offset = begin + marker - 0xA0
+            raw = data[begin:offset]
+            if len(raw) != marker - 0xA0:
+                raise MsgpackTruncated(_TRUNCATED)
+            try:
+                result[key] = raw.decode("utf-8")
+            except UnicodeDecodeError as error:
+                raise _invalid_utf8(error) from None
+        elif marker == 0xCB:  # float64
+            try:
+                result[key] = _UNPACK_F64(data, offset + 1)[0]
+            except struct.error:
+                raise MsgpackTruncated(_TRUNCATED) from None
+            offset += 9
+        else:
+            result[key], offset = _unpack(data, offset)
     result._span = (data, start, offset)
     return result, offset

@@ -7,8 +7,11 @@ connection speak the same frame protocol (:mod:`repro.net.wire`):
 
 * **client sessions** — ``hello`` with role ``client``, then
   subscribe/unsubscribe/publish requests (each acked by request id) and
-  ``event`` delivery pushes (one frame per event per session, carrying
-  every matched subscription id the session owns);
+  delivery pushes: everything one routing cycle (one ``publish`` /
+  ``publish_many`` / ``forward`` / ``forward_batch`` served) owes a
+  session leaves as one frame — ``event`` when that is a single event,
+  ``event_batch`` otherwise — each member carrying every matched
+  subscription id the session owns;
 * **broker links** — ``hello`` with role ``broker``.  Subscription
   advertisements (``subscribe``/``subscribe_many``/``unsubscribe``) and
   event forwards (``forward``/``forward_batch``) ride the same framing.
@@ -58,6 +61,8 @@ from repro.sim.metrics import MetricsRegistry
 logger = logging.getLogger("repro.net.server")
 
 _READ_CHUNK = 256 * 1024
+#: How long ``_Connection.close`` waits for the writer to flush and stop.
+_CLOSE_TIMEOUT_S = 5.0
 
 
 class _Connection:
@@ -115,12 +120,19 @@ class _Connection:
                 except asyncio.QueueEmpty:  # pragma: no cover - racy guard
                     break
         self.alive = False
+        try:
+            # One deadline over both waits: with the queue full and the
+            # writer parked in ``drain()`` (a peer that stopped reading)
+            # the sentinel itself cannot be enqueued.
+            await asyncio.wait_for(self._stop_writer(), timeout=_CLOSE_TIMEOUT_S)
+        except asyncio.TimeoutError:
+            if self.writer_task is not None:
+                self.writer_task.cancel()
+
+    async def _stop_writer(self) -> None:
         await self.queue.put(None)
         if self.writer_task is not None:
-            try:
-                await asyncio.wait_for(self.writer_task, timeout=5.0)
-            except asyncio.TimeoutError:  # pragma: no cover - stuck peer
-                self.writer_task.cancel()
+            await self.writer_task
 
 
 class BrokerServer:
@@ -595,8 +607,9 @@ class BrokerServer:
         came_from: Optional[str],
     ) -> Tuple[int, int]:
         """Match, deliver to owning client sessions, forward to interested
-        neighbour links (coalesced per link).  Returns (total local
-        matches, total link-forwards staged)."""
+        neighbour links (both coalesced: one frame per session and one per
+        link for the whole cycle).  Returns (total local matches, total
+        link-forwards staged)."""
         node = self.node
         events = [event for event, _hops, _ots in envelopes]
         if len(events) == 1:
@@ -605,6 +618,7 @@ class BrokerServer:
             rows = node.local_engine.match_batch(events)
         deliveries = self.metrics.counter("net.deliveries")
         unroutable = self.metrics.counter("net.deliveries_unroutable")
+        pushes: Dict[_Connection, List[Tuple[Event, List[str], float, int]]] = {}
         outboxes: Dict[str, List[Tuple[Event, int, float]]] = {}
         total_matched = 0
         for (event, hops, origin_ts), row in zip(envelopes, rows):
@@ -621,8 +635,8 @@ class BrokerServer:
                         subscription.subscription_id
                     )
                 for session, subscription_ids in per_session.items():
-                    await session.send(
-                        wire.event_frame(event, subscription_ids, origin_ts, hops)
+                    pushes.setdefault(session, []).append(
+                        (event, subscription_ids, origin_ts, hops)
                     )
                     deliveries.increment(len(subscription_ids))
                     node.stats.events_delivered += len(subscription_ids)
@@ -632,6 +646,9 @@ class BrokerServer:
                 outboxes.setdefault(neighbour, []).append(
                     (event, hops + 1, origin_ts)
                 )
+        for session, members in pushes.items():
+            for frame in wire.event_push_frames(members):
+                await session.send(frame)
         total_forwarded = 0
         if outboxes:
             forwarded = self.metrics.counter("net.events_forwarded")

@@ -26,6 +26,10 @@ Message types
 ``ack``              positive/negative reply to a request id.
 ``event``            server → client delivery: one event plus the ids of
                      the session's subscriptions it matched.
+``event_batch``      server → client: every delivery one routing cycle
+                     (one ``publish_many`` / ``forward_batch`` served) owes
+                     a session, in arrival order; a cycle that owes it a
+                     single delivery sends ``event``.
 ``error``            typed protocol error (bad version, unknown message
                      type, malformed body); carries a machine-readable
                      ``code``.  Protocol errors are *replies* — the
@@ -40,6 +44,12 @@ Message types
 The codec layer (:func:`encode_subscription` & friends) is pure — no IO,
 no asyncio — so the property suite can fuzz round-trips directly.
 
+Version 2 added ``event_batch``.  A version-1 client ignores push types
+it does not know, so it would lose batched deliveries silently; the bump
+makes the ``hello`` check refuse it (``bad_version``) instead.  Nothing
+else changed: every other version-2 frame is the version-1 frame with the
+version byte's new value.
+
 Encode once
 ===========
 
@@ -49,13 +59,14 @@ it validates any other and then keeps the bytes the map was decoded from
 on the :class:`Event` it returns; :func:`encode_event` hands those bytes
 back (as a :class:`~repro.net.msgpack_lite.Packed` value ``packb`` emits
 verbatim) instead of rebuilding the map.  So the event member of every
-``forward``, ``forward_batch`` and ``event`` frame a broker sends for a
-socket-received event is the publisher's own encoding, spliced; an event
-constructed locally is encoded the ordinary way.  A receiver may assume
-such a member is valid msgpack that passed the sending hop's
-``decode_event`` — **not** that it is canonical (a third-party publisher
-may have used wider integer/string headers, float32, an integer ``ts``,
-extra or repeated keys), so every hop decodes and validates it again.
+``forward``, ``forward_batch``, ``event`` and ``event_batch`` frame a
+broker sends for a socket-received event is the publisher's own
+encoding, spliced; an event constructed locally is encoded the ordinary
+way.  A receiver may assume such a member is valid msgpack that passed
+the sending hop's ``decode_event`` — **not** that it is canonical (a
+third-party publisher may have used wider integer/string headers,
+float32, an integer ``ts``, extra or repeated keys), so every hop decodes
+and validates it again.
 """
 
 from __future__ import annotations
@@ -71,11 +82,16 @@ from repro.pubsub.subscriptions import Operator, Predicate, Subscription
 from repro.net.msgpack_lite import MsgpackError, SpanMap, packb, unpackb
 
 #: Protocol version carried in every frame (and asserted in ``hello``).
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 #: Hard ceiling on one frame's payload; anything larger is a protocol
 #: error (prevents a corrupt length prefix from ballooning the buffer).
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+#: Where :func:`event_push_frames` cuts a session's deliveries into
+#: another frame: a batch of high-fan-out events must stay as far below
+#: ``MAX_FRAME_BYTES`` as the per-event frames it replaces.
+EVENT_BATCH_BYTES = 1024 * 1024
 
 _HEADER = struct.Struct(">I")
 _VERSION_BYTE = bytes((WIRE_VERSION,))
@@ -90,6 +106,7 @@ MESSAGE_TYPES = frozenset(
         "publish_many",
         "ack",
         "event",
+        "event_batch",
         "error",
         "forward",
         "forward_batch",
@@ -442,8 +459,9 @@ def event_frame(
     event: Event, subscription_ids: List[str], origin_ts: float, hops: int
 ) -> bytes:
     """Server → client delivery: one event, every matched subscription id
-    owned by the receiving session (one frame per event per session —
-    per-subscriber fan-out is vectorized on the wire)."""
+    owned by the receiving session (per-subscriber fan-out is vectorized
+    on the wire).  Several deliveries owed to one session at once travel
+    as :func:`event_batch_frame` instead."""
     return encode_frame(
         "event",
         0,
@@ -454,6 +472,49 @@ def event_frame(
             "hops": hops,
         },
     )
+
+
+def event_batch_frame(
+    members: Iterable[Tuple[Event, List[str], float, int]]
+) -> bytes:
+    """Server → client: coalesced deliveries for one session —
+    ``(event, subscription_ids, origin_ts, hops)`` per member, in arrival
+    order, each what :func:`event_frame` would carry alone."""
+    return encode_frame(
+        "event_batch",
+        0,
+        {
+            "members": [
+                [encode_event(event), subscription_ids, origin_ts, hops]
+                for event, subscription_ids, origin_ts, hops in members
+            ]
+        },
+    )
+
+
+def event_push_frames(
+    members: List[Tuple[Event, List[str], float, int]]
+) -> List[bytes]:
+    """The frames that push one session's deliveries of one routing cycle,
+    in order: ``event`` for a lone member, ``event_batch`` for several, a
+    new frame begun once the members so far weigh :data:`EVENT_BATCH_BYTES`
+    (spliced event bytes plus subscription-id characters; an event built
+    locally has no bytes yet and weighs its ids alone — a broker's events
+    all come off sockets)."""
+    frames: List[bytes] = []
+    first = weight = 0
+    for index, (event, subscription_ids, _origin_ts, _hops) in enumerate(members):
+        packed = event.__dict__.get("_wire")
+        if packed is not None:
+            weight += len(packed.data)
+        weight += sum(map(len, subscription_ids))
+        if weight >= EVENT_BATCH_BYTES or index == len(members) - 1:
+            chunk = members[first : index + 1]
+            frames.append(
+                event_frame(*chunk[0]) if len(chunk) == 1 else event_batch_frame(chunk)
+            )
+            first, weight = index + 1, 0
+    return frames
 
 
 def stats_frame(request_id: int) -> bytes:

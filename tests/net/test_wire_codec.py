@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import wire
+from repro.net.client import BrokerClient
 from repro.net.msgpack_lite import Packed, SpanMap, packb, unpackb
 from repro.net.wire import (
     WIRE_VERSION,
@@ -342,6 +343,20 @@ def receive(frame: bytes) -> wire.Message:
     return decode_payload(payload)
 
 
+def deliveries_of(*frames: bytes) -> list:
+    """What a client session queues for the push frames a broker sent it,
+    as ``(event, event id, subscription ids, origin ts, hops)``."""
+    client = BrokerClient("127.0.0.1", 0)
+    for frame in frames:
+        for payload in FrameDecoder().feed(frame):
+            client._handle_payload(payload)
+    queue = client._events
+    got = [queue.get_nowait() for _ in range(queue.qsize())]
+    return [
+        (d.event, d.event.event_id, d.subscription_ids, d.origin_ts, d.hops) for d in got
+    ]
+
+
 BOUNDARY_INTS = [
     0, 1, 127, 128, 255, 256, 65535, 65536, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1,
     -1, -32, -33, -128, -129, -32768, -32769, -(2**31), -(2**31) - 1, -(2**63),
@@ -402,8 +417,22 @@ def check_splice_identity(seed: int, count: int) -> None:
         assert [(m[1], m[2]) for m in members] == [(hops, ots)] * count, repro
         hop = [decode_event(member[0]) for member in members]
         assert hop == events, f"hop {hops}; {repro}"
-    for index, (egress, event) in enumerate(zip(hop, events)):
-        push = wire.event_frame(egress, subs, ots, 2)
+    # Egress: the cycle's deliveries leave as one event_batch (two members
+    # or more), and arrive as what the per-event pushes would have delivered.
+    owed = [(egress, subs, ots, 2) for egress in hop]
+    pushes = [wire.event_frame(*member) for member in owed]
+    if count > 1:
+        batch = wire.event_batch_frame(owed)
+        same(batch, wire.event_batch_frame([(e, subs, ots, 2) for e in events]),
+             "event_batch push")
+        assert wire.event_push_frames(owed) == [batch], repro
+        assert deliveries_of(batch) == deliveries_of(*pushes), repro
+    else:
+        assert wire.event_push_frames(owed) == pushes, repro
+    assert deliveries_of(*pushes) == [
+        (event, event.event_id, tuple(subs), ots, 2) for event in events
+    ], repro
+    for index, (egress, event, push) in enumerate(zip(hop, events, pushes)):
         same(push, wire.event_frame(event, subs, ots, 2), f"event push {index}")
         delivered = decode_event(receive(push).body["event"])
         assert delivered == event and delivered.event_id == event.event_id, repro
@@ -561,12 +590,20 @@ class TestEncodeOnce:
 
         batch = wire.forward_batch_frame([(transit, 2, ots), (ingress, 2, ots)])
         assert batch.count(FOREIGN_EVENT) == 2
+        arrived = []
         for member in receive(batch).body["members"]:
             egress = decode_event(member[0])
             assert_canonical(egress, "egress")
+            arrived.append(egress)
             push = wire.event_frame(egress, ["s1"], ots, 3)
             assert FOREIGN_EVENT in push
             assert_canonical(decode_event(receive(push).body["event"]), "subscriber")
+
+        pushed = wire.event_batch_frame([(egress, ["s1"], ots, 3) for egress in arrived])
+        assert pushed.count(FOREIGN_EVENT) == 2
+        assert deliveries_of(pushed) == [(CANONICAL_EVENT, "evt-x", ("s1",), ots, 3)] * 2
+        for event, *_rest in deliveries_of(pushed):
+            assert_canonical(event, "batched subscriber")
 
     def test_foreign_list_valued_attribute_rejected_at_first_hop(self):
         bad = (
@@ -599,3 +636,52 @@ class TestEncodeOnce:
         # ... and derived events are local again.
         derived = decode_event(unpackb(packb(encode_event(local)))).with_attributes(k=2)
         assert type(encode_event(derived)) is dict
+
+
+# ---------------------------------------------------------------------------
+# Batched delivery push: frame selection and the size cut
+# ---------------------------------------------------------------------------
+
+
+class TestEventPushFrames:
+    @staticmethod
+    def members(count, ids=("s1", "s2")):
+        """``count`` members whose events came off a socket (so they carry
+        their bytes, as every event a broker routes does)."""
+        events = [Event("e", {"n": index}, event_id=f"e{index}") for index in range(count)]
+        body = receive(wire.publish_many_frame(events, 1, 0.5)).body
+        return [(decode_event(item), list(ids), 0.5, 1) for item in body["events"]]
+
+    def test_one_member_is_an_event_frame_two_are_a_batch(self):
+        one, two = self.members(1), self.members(2)
+        assert wire.event_push_frames(one) == [wire.event_frame(*one[0])]
+        assert wire.event_push_frames(two) == [wire.event_batch_frame(two)]
+        assert receive(wire.event_batch_frame(two)).msg_type == "event_batch"
+        assert wire.event_push_frames([]) == []
+
+    @pytest.mark.parametrize("limit", [1, 40, 100, 1000])
+    def test_size_cut_keeps_order_and_content(self, monkeypatch, limit):
+        members = self.members(23)
+        whole = deliveries_of(wire.event_batch_frame(members))
+        monkeypatch.setattr(wire, "EVENT_BATCH_BYTES", limit)
+        frames = wire.event_push_frames(members)
+        assert deliveries_of(*frames) == whole, f"limit {limit}"
+        weights = [len(encode_event(m[0]).data) + 4 for m in members]
+        assert len(frames) > 1 if limit < sum(weights) else len(frames) == 1
+        if limit <= min(weights):  # every chunk is one member: event frames
+            assert frames == [wire.event_frame(*member) for member in members]
+        # No frame holds more than the limit plus the member that crossed it.
+        for frame in frames:
+            body = receive(frame).body
+            held = len(body["members"]) if "members" in body else 1
+            assert (held - 1) * min(weights) < limit, f"limit {limit}"
+
+    def test_locally_built_events_weigh_their_ids(self, monkeypatch):
+        local = [(Event("e", {"n": index}, event_id=f"e{index}"), ["s1"], 0.5, 0)
+                 for index in range(6)]
+        monkeypatch.setattr(wire, "EVENT_BATCH_BYTES", 4)  # two ids of two chars
+        frames = wire.event_push_frames(local)
+        assert [len(receive(frame).body["members"]) for frame in frames] == [2, 2, 2]
+        assert deliveries_of(*frames) == [
+            (event, event.event_id, ("s1",), 0.5, 0) for event, *_rest in local
+        ]
