@@ -13,13 +13,10 @@ These pin the cost of the two inner loops everything else sits on:
 * selective-equality matching under wide ranges (PR 14): a topic ``EQ``
   anchors each subscription and the broad ``priority`` / ``price``
   constraints are checked only for the candidates the topic selects;
-* the cluster layer's sharded / batched publish paths versus sequential
-  single-engine publishing (PR 2; see the "Cluster layer" section of
-  PERFORMANCE.md);
+* sequential single-engine publishing, the baseline of the cluster
+  layer (PR 2; see the "Cluster layer" section of PERFORMANCE.md);
 * the message plane's routed publish path (mailboxes + content-routed
-  forwarding over simulated links) and the multiprocess/thread shard
-  executors versus the in-process sharded batch (PR 3/PR 4; see
-  "Message plane");
+  forwarding over simulated links) (PR 3; see "Message plane");
 * the fault-tolerance machinery: one full crash → detect → repair →
   failback cycle with thousands of subscriptions of routing state to
   rebuild (PR 4; see "Failure & churn");
@@ -57,7 +54,6 @@ from __future__ import annotations
 
 import itertools
 
-from repro.cluster import ShardedMatchingEngine
 from repro.experiments.substrate import make_event, make_subscription
 from repro.ir.index import Document, InvertedIndex
 from repro.ir.ranking import BM25Ranker
@@ -267,23 +263,6 @@ def test_hp_sequential_publish_single(benchmark):
 
     deliveries = benchmark(run)
     assert deliveries > 0
-
-
-def test_hp_batch_publish_sharded(benchmark):
-    """The same 2k events as one batch through 4 shards (must be >= 2x)."""
-    subscriptions, events = _cluster_publish_workload()
-    single = MatchingEngine()
-    sharded = ShardedMatchingEngine(num_shards=4)
-    for subscription in subscriptions:
-        single.add(subscription)
-        sharded.add(subscription)
-    expected = sum(len(single.match(event)) for event in events)
-
-    def run():
-        return sum(len(row) for row in sharded.match_batch(events))
-
-    deliveries = benchmark(run)
-    assert deliveries == expected
 
 
 def test_hp_routed_cluster_publish(benchmark):
@@ -522,65 +501,6 @@ def test_hp_delivery_fanout(benchmark):
     )
 
 
-def test_hp_multiprocess_shard_match_batch(benchmark):
-    """The sharded 2k-event batch dispatched to worker processes.
-
-    Directly comparable to ``test_hp_batch_publish_sharded`` (same
-    workload, same shard count): the gap between the two is the
-    serialization + IPC toll of process isolation, and the crossover
-    point depends on core count (see PERFORMANCE.md "Message plane").
-    """
-    from repro.cluster.workers import MultiprocessExecutor
-
-    subscriptions, events = _cluster_publish_workload()
-    single = MatchingEngine()
-    for subscription in subscriptions:
-        single.add(subscription)
-    expected = sum(len(single.match(event)) for event in events)
-
-    with MultiprocessExecutor(chunk_size=500) as executor:
-        sharded = ShardedMatchingEngine(num_shards=4, executor=executor)
-        for subscription in subscriptions:
-            sharded.add(subscription)
-        sharded.match_batch(events[:8])  # warm the pool + worker caches
-
-        def run():
-            return sum(len(row) for row in sharded.match_batch(events))
-
-        deliveries = benchmark(run)
-    assert deliveries == expected
-
-
-def test_hp_thread_shard_match_batch(benchmark):
-    """The sharded 2k-event batch dispatched to a thread pool.
-
-    Comparable to ``test_hp_batch_publish_sharded`` (same workload, same
-    shard count): the gap is the pool-dispatch overhead, and — matching
-    being GIL-bound — the number should sit near the serial executor's.
-    The executor's win is reserved for IO-bound delivery fan-out, which a
-    micro-benchmark of pure matching deliberately does not show.
-    """
-    from repro.cluster.workers import ThreadExecutor
-
-    subscriptions, events = _cluster_publish_workload()
-    single = MatchingEngine()
-    for subscription in subscriptions:
-        single.add(subscription)
-    expected = sum(len(single.match(event)) for event in events)
-
-    with ThreadExecutor(workers=4) as executor:
-        sharded = ShardedMatchingEngine(num_shards=4, executor=executor)
-        for subscription in subscriptions:
-            sharded.add(subscription)
-        sharded.match_batch(events[:8])  # warm the pool
-
-        def run():
-            return sum(len(row) for row in sharded.match_batch(events))
-
-        deliveries = benchmark(run)
-    assert deliveries == expected
-
-
 def test_hp_cluster_churn_recovery(benchmark):
     """One link failover + failback cycle on a loaded 4-broker line.
 
@@ -656,22 +576,6 @@ def test_hp_unsubscribe_churn(benchmark):
     state = benchmark(run)
     assert state > 0
     assert routing_converged(cluster.fabric)
-
-
-def test_hp_sharded_single_event_match(benchmark):
-    """One event against 10k subscriptions split across 4 shards.
-
-    Pins the per-event overhead sharding adds on the unbatched path (each
-    shard probes the event independently).
-    """
-    subscriptions, events = _cluster_publish_workload(num_events=1)
-    engine = ShardedMatchingEngine(num_shards=4)
-    for subscription in subscriptions:
-        engine.add(subscription)
-    event = events[0]
-
-    matched = benchmark(lambda: engine.match(event))
-    assert isinstance(matched, list)
 
 
 def test_hp_scale_million_subscriptions(benchmark):

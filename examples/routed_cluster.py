@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
 """Routed broker cluster: the distributed message plane end to end.
 
-Builds a 3-broker routed cluster (line topology: west - hub - east) where
-every broker runs a *sharded* matching node, attaches subscribers at
-different brokers, publishes a batch of events at the west edge, and
-prints what the message plane measured:
+Builds a 3-broker routed cluster (line topology: west - hub - east),
+attaches subscribers at different brokers, publishes a batch of events at
+the west edge, and prints what the message plane measured:
 
 * who received what (deliveries carry the serving broker);
 * how many overlay links each delivery crossed (hop counts);
@@ -12,25 +11,15 @@ prints what the message plane measured:
   path plus simulated link latency;
 * per-broker mailbox/forwarding statistics and network traffic.
 
-Swap ``SerialExecutor`` for ``MultiprocessExecutor(processes=4)`` in
-``make_engine`` to run every shard's match work in worker processes —
-delivery sets are identical by construction (the property suite pins
-both executors to the same oracle).
-
 Run with:  python examples/routed_cluster.py
 """
 
 from __future__ import annotations
 
-from repro.cluster import BrokerCluster, ShardedMatchingEngine
+from repro.cluster import BrokerCluster
 from repro.pubsub.events import Event
 from repro.pubsub.subscriptions import Operator, Predicate, Subscription
 from repro.sim.rng import SeededRNG
-
-
-def make_engine() -> ShardedMatchingEngine:
-    # Each broker node shards its subscription set across 2 inner engines.
-    return ShardedMatchingEngine(num_shards=2)
 
 
 def subscription(topic: str, subscriber: str, min_priority: int = 0) -> Subscription:
@@ -44,7 +33,6 @@ def subscription(topic: str, subscriber: str, min_priority: int = 0) -> Subscrip
 
 def main() -> None:
     cluster = BrokerCluster(
-        engine_factory=make_engine,
         service_rate=2000.0,  # events/second per broker
         batch_size=8,
         batch_overhead=0.0002,

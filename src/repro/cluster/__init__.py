@@ -3,24 +3,15 @@
 Scales the single-process pub/sub substrate along the axes the ROADMAP
 names:
 
-* :class:`~repro.cluster.sharded.ShardedMatchingEngine` partitions
-  subscriptions across N inner matching engines under a placement policy
-  (:class:`~repro.cluster.placement.HashPlacement` or
-  :class:`~repro.cluster.placement.AttributeRangePlacement`), with
-  drain/refill rebalancing when shard load skews;
-* :mod:`~repro.cluster.workers` makes shard execution pluggable:
-  :class:`~repro.cluster.workers.SerialExecutor` runs shards inline,
-  :class:`~repro.cluster.workers.MultiprocessExecutor` fans chunked match
-  batches out to worker processes;
 * :class:`~repro.cluster.routing.RoutingFabric` is the transport-agnostic
   routing core (subscription propagation with covering pruning and
   unsubscription repair, plus next-hop decisions), shared by the
   synchronous :class:`~repro.pubsub.router.BrokerOverlay` and the
   sim-clock cluster;
-* :class:`~repro.cluster.batch.BatchPublisher` pushes event *batches*
-  through any engine's ``match_batch`` and merges per-shard hits;
 * :class:`~repro.cluster.broker_cluster.BrokerCluster` models brokers as
-  mailbox-driven processes on the discrete-event simulator — routed: events
+  mailbox-driven processes on the discrete-event simulator, each matching
+  its local subscriptions in one
+  :class:`~repro.pubsub.matching.MatchingEngine` — routed: events
   forward between brokers as latency-bearing network messages through the
   same mailbox machinery, yielding queue-delay, hop-count and end-to-end
   delivery-delay metrics for ``repro.experiments.cluster_scale``;
@@ -45,7 +36,6 @@ names:
   oracle.
 """
 
-from repro.cluster.batch import BatchPublisher, BatchReport
 from repro.cluster.broker_cluster import (
     BrokerCluster,
     BrokerProcess,
@@ -58,27 +48,14 @@ from repro.cluster.broker_cluster import (
 from repro.cluster.durable import DedupIndex, DurabilityManager, DurableLog
 from repro.cluster.faults import FaultAction, FaultInjector, FaultPlan
 from repro.cluster.replication import ReplicatedSubscription, ReplicationManager
-from repro.cluster.placement import AttributeRangePlacement, HashPlacement
 from repro.cluster.recovery import (
     FailureDetector,
     rebuilt_routing_snapshot,
     routing_converged,
 )
 from repro.cluster.routing import RoutingFabric, SubscribeOutcome
-from repro.cluster.sharded import ShardedMatchingEngine
-from repro.cluster.workers import (
-    MultiprocessExecutor,
-    SerialExecutor,
-    ShardView,
-    ThreadExecutor,
-    make_executor,
-    sharded_engine_factory,
-)
 
 __all__ = [
-    "AttributeRangePlacement",
-    "BatchPublisher",
-    "BatchReport",
     "BrokerCluster",
     "BrokerProcess",
     "BrokerProcessStats",
@@ -90,21 +67,13 @@ __all__ = [
     "FaultAction",
     "FaultInjector",
     "FaultPlan",
-    "HashPlacement",
-    "MultiprocessExecutor",
     "ReplicatedSubscription",
     "ReplicationManager",
     "RoutingFabric",
-    "SerialExecutor",
-    "ShardView",
-    "ShardedMatchingEngine",
     "SubscribeOutcome",
-    "ThreadExecutor",
     "build_cluster_topology",
-    "make_executor",
     "rebuilt_routing_snapshot",
     "routing_converged",
-    "sharded_engine_factory",
     "topology_edges",
     "topology_is_cyclic",
 ]

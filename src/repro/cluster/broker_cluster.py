@@ -56,7 +56,7 @@ from repro.cluster.durable import DedupIndex
 from repro.cluster.routing import RoutingFabric
 from repro.obs.audit import RouteAuditLog
 from repro.obs.trace import TraceContext, Tracer
-from repro.pubsub.broker import Broker, EngineFactory
+from repro.pubsub.broker import Broker
 from repro.pubsub.events import Event
 from repro.pubsub.matching import BatchMatchCache, MatchingEngine
 from repro.pubsub.subscriptions import Subscription
@@ -287,13 +287,11 @@ class BrokerCluster:
         self,
         sim: Optional[SimulationEngine] = None,
         metrics: Optional[MetricsRegistry] = None,
-        engine_factory: EngineFactory = MatchingEngine,
         service_rate: float = 2000.0,
         batch_size: int = 1,
         batch_overhead: float = 0.0,
         link_latency: float = 0.002,
         network: Optional[SimulatedNetwork] = None,
-        routing_engine_factory: EngineFactory = MatchingEngine,
         mailbox_policy: str = "freeze",
         merge_ingress: bool = False,
         tracer: Optional[Tracer] = None,
@@ -307,10 +305,6 @@ class BrokerCluster:
             raise ValueError(f"mailbox_policy must be one of {MAILBOX_POLICIES}")
         self.sim = sim if sim is not None else SimulationEngine()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.engine_factory = engine_factory
-        # Routing tables hold copies of remote subscriptions only; a plain
-        # engine keeps them cheap even when local engines are sharded.
-        self.routing_engine_factory = routing_engine_factory
         self.default_service_rate = service_rate
         self.default_batch_size = batch_size
         self.default_batch_overhead = batch_overhead
@@ -376,16 +370,11 @@ class BrokerCluster:
         service_rate: Optional[float] = None,
         batch_size: Optional[int] = None,
         batch_overhead: Optional[float] = None,
-        engine: Optional[MatchingEngine] = None,
         mailbox_policy: Optional[str] = None,
     ) -> BrokerProcess:
         if name in self.brokers:
             raise ValueError(f"broker {name!r} already exists")
-        node = Broker(
-            name,
-            engine_factory=self.routing_engine_factory,
-            local_engine=engine if engine is not None else self.engine_factory(),
-        )
+        node = Broker(name)
         broker = BrokerProcess(
             name=name,
             node=node,
@@ -1044,15 +1033,9 @@ class BrokerCluster:
         now = self.sim.now
         tracer = self.tracer
         events = [envelope.event for _at, envelope in batch]
-        # Cross-cycle probe/result caching when the engine supports it
-        # (plain MatchingEngine); sharded/naive engines take their own
-        # match_batch path.  The cache self-invalidates on any engine
-        # mutation, so delivery results are identical either way.
-        match_cached = getattr(broker.engine, "match_batch_cached", None)
-        if match_cached is not None:
-            matches = match_cached(events, broker._match_cache)
-        else:
-            matches = broker.engine.match_batch(events)
+        # Cross-cycle probe/result caching; the cache self-invalidates on
+        # any engine mutation, so delivery results equal match_batch's.
+        matches = broker.engine.match_batch_cached(events, broker._match_cache)
         deliveries = 0
         outboxes: Dict[str, List[EventEnvelope]] = {}
         # Vectorized fan-out: metric handles hoisted out of the loop, one
@@ -1076,7 +1059,6 @@ class BrokerCluster:
                     broker=broker.name,
                     batch_size=len(batch),
                     matches=len(row),
-                    shards=getattr(broker.engine, "num_shards", 1),
                     incarnation=broker.incarnation,
                 )
                 envelope.trace.parent_id = match_span

@@ -116,8 +116,10 @@ class FailureDetector:
             self._tick_handle = None
 
     def _directed_pairs(self) -> Iterable[Tuple[str, str]]:
-        for pair in self.cluster.intended_links:
-            first, second = sorted(pair)
+        # Sorted: heartbeat send order sets the order of same-time sim
+        # events, and a set of strings iterates in string-hash order.
+        pairs = sorted(sorted(pair) for pair in self.cluster.intended_links)
+        for first, second in pairs:
             yield first, second
             yield second, first
 

@@ -33,7 +33,7 @@ __all__ = ["ReplicatedSubscription", "ReplicationManager"]
 
 @dataclass
 class ReplicatedSubscription:
-    """Placement record for one managed subscription."""
+    """Where one managed subscription lives: its primary and replica homes."""
 
     subscription: Subscription
     primary: str

@@ -1,30 +1,28 @@
-"""Experiment C1 — cluster-layer scalability: shards × batch size.
+"""Experiment C1 — cluster-layer scalability: batch size.
 
-Sweeps the two scale knobs the cluster layer adds over the single-process
+Sweeps the batching knob the cluster layer adds over the single-process
 substrate (§5.3 workload shape):
 
-* **raw matching throughput** — a :class:`ShardedMatchingEngine` fed fixed
-  event batches through a :class:`BatchPublisher`, wall-clock events/s per
-  (shard count, batch size) point;
-* **delivery latency** — the same engine behind a mailbox-driven
+* **raw matching throughput** — one :class:`MatchingEngine` fed fixed
+  event batches through ``match_batch_cached``, wall-clock events/s per
+  batch size;
+* **delivery latency** — the same subscriptions behind a mailbox-driven
   :class:`BrokerCluster` broker with Poisson arrivals, reporting mean/p95
   queue delay (arrival to completion) out of simulated time.  A per-cycle
   service overhead makes the batching trade-off visible: batch=1 pays the
   overhead per event, large batches amortize it but hold early arrivals
   back until the batch completes.
 
-* **routed delivery** (``--routed``) — the same engines behind a
-  content-routed multi-broker cluster (line/star/tree topologies), where
-  events forward between broker mailboxes as latency-bearing messages;
-  reports hop counts, forwards per event and end-to-end delivery delay
-  per (topology, shard count, batch size) point, with ``--executor``
-  selecting the shard executor for sharded nodes.
+* **routed delivery** (``--routed``) — a content-routed multi-broker
+  cluster (line/star/tree topologies), where events forward between
+  broker mailboxes as latency-bearing messages; reports hop counts,
+  forwards per event and end-to-end delivery delay per (topology, batch
+  size) point.
 
-With ``verify=True`` every sweep point is checked against the
-:class:`NaiveMatchingEngine` oracle (including a range-placement engine
-after a forced rebalance), and routed runs compare the union of
-deliveries across brokers to a single-engine oracle event by event; any
-mismatch raises — this is the CI guard.
+With ``verify=True`` the engine's ``match`` and ``match_batch`` are
+checked against the :class:`NaiveMatchingEngine` oracle, and routed runs
+compare the union of deliveries across brokers to a single-engine oracle
+event by event; any mismatch raises — this is the CI guard.
 
 Run directly (reduced scale for CI)::
 
@@ -37,16 +35,12 @@ import argparse
 import time
 from typing import List, Optional, Sequence
 
-from repro.cluster.batch import BatchPublisher
 from repro.cluster.broker_cluster import BrokerCluster, build_cluster_topology
-from repro.cluster.placement import AttributeRangePlacement
-from repro.cluster.sharded import ShardedMatchingEngine
-from repro.cluster.workers import EXECUTOR_KINDS, sharded_engine_factory
 from repro.experiments.harness import ExperimentResult
 from repro.experiments.substrate import make_event, make_subscription
 from repro.obs import broker_timing_breakdown
 from repro.pubsub.events import Event
-from repro.pubsub.matching import MatchingEngine, NaiveMatchingEngine
+from repro.pubsub.matching import BatchMatchCache, MatchingEngine, NaiveMatchingEngine
 from repro.pubsub.subscriptions import Subscription
 from repro.sim.engine import SimulationEngine
 from repro.sim.rng import SeededRNG
@@ -57,48 +51,27 @@ def _matched_ids(engine, event: Event) -> List[str]:
 
 
 def _verify_against_oracle(
+    engine: MatchingEngine,
     subscriptions: Sequence[Subscription],
     events: Sequence[Event],
-    num_shards: int,
 ) -> None:
-    """Pin sharded matching (hash and rebalanced range placement) to the
-    brute-force oracle; raises AssertionError on any mismatch."""
+    """Pin ``engine``'s match and match_batch to the brute-force oracle;
+    raises AssertionError on any mismatch."""
     oracle = NaiveMatchingEngine()
-    hashed = ShardedMatchingEngine(num_shards=num_shards)
-    ranged = ShardedMatchingEngine(
-        num_shards=num_shards,
-        placement=AttributeRangePlacement("priority"),
-        auto_rebalance=False,
-    )
     for subscription in subscriptions:
         oracle.add(subscription)
-        hashed.add(subscription)
-        ranged.add(subscription)
-    ranged.rebalance()
-    batch_hashed = hashed.match_batch(events)
-    batch_ranged = ranged.match_batch(events)
+    batch = engine.match_batch(events)
     for index, event in enumerate(events):
         expected = _matched_ids(oracle, event)
-        if _matched_ids(hashed, event) != expected:
+        if _matched_ids(engine, event) != expected:
+            raise AssertionError(f"match diverged from oracle on event {index}")
+        if [s.subscription_id for s in batch[index]] != expected:
             raise AssertionError(
-                f"hash-sharded match diverged from oracle on event {index}"
+                f"match_batch diverged from oracle on event {index}"
             )
-        if _matched_ids(ranged, event) != expected:
-            raise AssertionError(
-                f"range-sharded match diverged from oracle on event {index} "
-                f"(after rebalance)"
-            )
-        for label, batch in (("hash", batch_hashed), ("range", batch_ranged)):
-            got = [s.subscription_id for s in batch[index]]
-            if got != expected:
-                raise AssertionError(
-                    f"{label}-sharded match_batch diverged from oracle on "
-                    f"event {index}"
-                )
 
 
 def run_cluster_scale(
-    shard_counts: Sequence[int] = (1, 2, 4),
     batch_sizes: Sequence[int] = (1, 32, 256),
     num_subscriptions: int = 5000,
     num_events: int = 2000,
@@ -111,7 +84,7 @@ def run_cluster_scale(
     verify: bool = False,
     verify_events: int = 60,
 ) -> ExperimentResult:
-    """Throughput and delivery latency vs shard count and batch size."""
+    """Throughput and delivery latency vs batch size."""
     if scale <= 0:
         raise ValueError("scale must be positive")
     num_subscriptions = max(50, int(num_subscriptions * scale))
@@ -137,7 +110,7 @@ def run_cluster_scale(
 
     result = ExperimentResult(
         experiment_id="C1",
-        title="Cluster layer: sharded matching + batched event flow",
+        title="Cluster layer: batched matching + batched event flow",
         parameters={
             "subscriptions": num_subscriptions,
             "events": num_events,
@@ -149,64 +122,59 @@ def run_cluster_scale(
         },
     )
 
-    for num_shards in shard_counts:
-        engine = ShardedMatchingEngine(num_shards=num_shards, auto_rebalance=False)
-        for subscription in subscriptions:
-            engine.add(subscription)
-        if verify:
-            _verify_against_oracle(
-                subscriptions, events[: max(1, min(verify_events, num_events))],
-                num_shards,
-            )
-        for batch_size in batch_sizes:
-            # -- wall-clock matching throughput ----------------------------
-            publisher = BatchPublisher(engine)
-            start = time.perf_counter()
-            reports = publisher.publish_stream(events, batch_size)
-            elapsed = time.perf_counter() - start
-            deliveries = sum(report.deliveries for report in reports)
+    engine = MatchingEngine()
+    engine.add_many(subscriptions)
+    if verify:
+        _verify_against_oracle(
+            engine, subscriptions, events[: max(1, min(verify_events, num_events))]
+        )
+    for batch_size in batch_sizes:
+        # -- wall-clock matching throughput --------------------------------
+        cache = BatchMatchCache()
+        start = time.perf_counter()
+        deliveries = 0
+        for first in range(0, num_events, batch_size):
+            rows = engine.match_batch_cached(events[first : first + batch_size], cache)
+            deliveries += sum(len(row) for row in rows)
+        elapsed = time.perf_counter() - start
 
-            # -- simulated delivery latency --------------------------------
-            cluster = BrokerCluster(
-                sim=SimulationEngine(),
-                service_rate=service_rate,
-                batch_size=batch_size,
-                batch_overhead=batch_overhead,
-            )
-            cluster.add_broker("b0", engine=engine)
-            for at, event in zip(arrival_times, events):
-                cluster.publish_at(at, "b0", event)
-            cluster.run()
-            delay = cluster.metrics.histogram("cluster.queue_delay")
+        # -- simulated delivery latency ------------------------------------
+        cluster = BrokerCluster(
+            sim=SimulationEngine(),
+            service_rate=service_rate,
+            batch_size=batch_size,
+            batch_overhead=batch_overhead,
+        )
+        cluster.add_broker("b0")
+        cluster.subscribe_many("b0", subscriptions)
+        for at, event in zip(arrival_times, events):
+            cluster.publish_at(at, "b0", event)
+        cluster.run()
+        delay = cluster.metrics.histogram("cluster.queue_delay")
 
-            result.add_row(
-                shards=num_shards,
-                batch_size=batch_size,
-                match_events_per_s=(
-                    num_events / elapsed if elapsed > 0 else 0.0
-                ),
-                deliveries=deliveries,
-                sim_throughput_eps=cluster.throughput(),
-                mean_delay_ms=delay.mean * 1000.0,
-                p95_delay_ms=delay.percentile(95) * 1000.0 if delay.count else 0.0,
-            )
+        result.add_row(
+            batch_size=batch_size,
+            match_events_per_s=(num_events / elapsed if elapsed > 0 else 0.0),
+            deliveries=deliveries,
+            sim_throughput_eps=cluster.throughput(),
+            mean_delay_ms=delay.mean * 1000.0,
+            p95_delay_ms=delay.percentile(95) * 1000.0 if delay.count else 0.0,
+        )
     result.notes.append(
         "batching amortizes per-cycle service overhead (throughput rises with "
         "batch size) at the cost of holding early arrivals until their batch "
-        "completes; shards partition subscriptions, so per-shard probe state "
-        "shrinks while results stay identical to a single engine"
+        "completes"
     )
     if verify:
         result.notes.append(
-            "verified: sharded match/match_batch (hash + rebalanced range "
-            "placement) identical to the NaiveMatchingEngine oracle"
+            "verified: match/match_batch identical to the NaiveMatchingEngine "
+            "oracle"
         )
     return result
 
 
 def run_routed_cluster_scale(
     topologies: Sequence[str] = ("line", "star", "tree"),
-    shard_counts: Sequence[int] = (1, 4),
     batch_sizes: Sequence[int] = (1, 32),
     num_brokers: int = 5,
     num_subscriptions: int = 4000,
@@ -216,13 +184,12 @@ def run_routed_cluster_scale(
     service_rate: float = 2500.0,
     batch_overhead: float = 0.0005,
     link_latency: float = 0.002,
-    executor_kind: str = "serial",
     seed: int = 17,
     scale: float = 1.0,
     verify: bool = False,
     publish_batch: int = 0,
 ) -> ExperimentResult:
-    """C1b — the routed axis: topology × shards × batch size.
+    """C1b — the routed axis: topology × batch size.
 
     Subscriptions are spread across the brokers of a line/star/tree
     overlay, events arrive Poisson at random brokers, and deliveries flow
@@ -250,7 +217,7 @@ def run_routed_cluster_scale(
 
     result = ExperimentResult(
         experiment_id="C1b",
-        title="Routed cluster: topology x shards x batch size",
+        title="Routed cluster: topology x batch size",
         parameters={
             "brokers": num_brokers,
             "subscriptions": num_subscriptions,
@@ -259,118 +226,103 @@ def run_routed_cluster_scale(
             "arrival_rate": arrival_rate,
             "service_rate": service_rate,
             "link_latency": link_latency,
-            "executor": executor_kind,
             "verified": verify,
             "publish_batch": publish_batch,
         },
     )
 
     for topology in topologies:
-        for num_shards in shard_counts:
-            for batch_size in batch_sizes:
-                rng = SeededRNG(seed)
-                topics = [f"topic{i:03d}" for i in range(num_topics)]
-                sub_rng = rng.fork("subs")
-                subscriptions = [
-                    make_subscription(sub_rng, topics, subscriber=f"user{i % 200}")
-                    for i in range(num_subscriptions)
-                ]
-                event_rng = rng.fork("events")
-                events = [
-                    make_event(event_rng, topics, timestamp=float(i))
-                    for i in range(num_events)
-                ]
+        for batch_size in batch_sizes:
+            rng = SeededRNG(seed)
+            topics = [f"topic{i:03d}" for i in range(num_topics)]
+            sub_rng = rng.fork("subs")
+            subscriptions = [
+                make_subscription(sub_rng, topics, subscriber=f"user{i % 200}")
+                for i in range(num_subscriptions)
+            ]
+            event_rng = rng.fork("events")
+            events = [
+                make_event(event_rng, topics, timestamp=float(i))
+                for i in range(num_events)
+            ]
 
-                if num_shards > 1:
-                    engine_factory = sharded_engine_factory(
-                        num_shards=num_shards, executor_kind=executor_kind
-                    )
-                else:
-                    engine_factory = MatchingEngine
-                cluster = BrokerCluster(
-                    sim=SimulationEngine(),
-                    engine_factory=engine_factory,
-                    service_rate=service_rate,
-                    batch_size=batch_size,
-                    batch_overhead=batch_overhead,
-                    link_latency=link_latency,
+            cluster = BrokerCluster(
+                sim=SimulationEngine(),
+                service_rate=service_rate,
+                batch_size=batch_size,
+                batch_overhead=batch_overhead,
+                link_latency=link_latency,
+            )
+            names = build_cluster_topology(topology, num_brokers, cluster)
+
+            placement_rng = rng.fork("placement")
+            for subscription in subscriptions:
+                cluster.subscribe(
+                    names[placement_rng.randint(0, len(names) - 1)], subscription
                 )
-                names = build_cluster_topology(topology, num_brokers, cluster)
 
-                placement_rng = rng.fork("placement")
-                for subscription in subscriptions:
-                    cluster.subscribe(
-                        names[placement_rng.randint(0, len(names) - 1)], subscription
-                    )
-
-                delivered: dict = {}
-                if verify:
-                    cluster.on_delivery(
-                        lambda broker, subscriber, event, subscription: delivered.setdefault(
-                            event.event_id, []
-                        ).append(subscription.subscription_id)
-                    )
-                arrival_rng = rng.fork("arrivals")
-                now = 0.0
-                if publish_batch > 1:
-                    chunk: List[Event] = []
-                    for event in events:
-                        now += arrival_rng.expovariate(arrival_rate)
-                        chunk.append(event)
-                        if len(chunk) >= publish_batch:
-                            cluster.publish_many_at(
-                                now,
-                                names[arrival_rng.randint(0, len(names) - 1)],
-                                chunk,
-                            )
-                            chunk = []
-                    if chunk:
+            delivered: dict = {}
+            if verify:
+                cluster.on_delivery(
+                    lambda broker, subscriber, event, subscription: delivered.setdefault(
+                        event.event_id, []
+                    ).append(subscription.subscription_id)
+                )
+            arrival_rng = rng.fork("arrivals")
+            now = 0.0
+            if publish_batch > 1:
+                chunk: List[Event] = []
+                for event in events:
+                    now += arrival_rng.expovariate(arrival_rate)
+                    chunk.append(event)
+                    if len(chunk) >= publish_batch:
                         cluster.publish_many_at(
-                            now, names[arrival_rng.randint(0, len(names) - 1)], chunk
+                            now,
+                            names[arrival_rng.randint(0, len(names) - 1)],
+                            chunk,
                         )
-                else:
-                    for event in events:
-                        now += arrival_rng.expovariate(arrival_rate)
-                        cluster.publish_at(
-                            now, names[arrival_rng.randint(0, len(names) - 1)], event
-                        )
-                cluster.run()
-                for broker in cluster.brokers.values():
-                    close = getattr(broker.engine, "close", None)
-                    if close is not None:
-                        close()
+                        chunk = []
+                if chunk:
+                    cluster.publish_many_at(
+                        now, names[arrival_rng.randint(0, len(names) - 1)], chunk
+                    )
+            else:
+                for event in events:
+                    now += arrival_rng.expovariate(arrival_rate)
+                    cluster.publish_at(
+                        now, names[arrival_rng.randint(0, len(names) - 1)], event
+                    )
+            cluster.run()
 
-                if verify:
-                    oracle = MatchingEngine()
-                    for subscription in subscriptions:
-                        oracle.add(subscription)
-                    for index, event in enumerate(events):
-                        expected = sorted(
-                            s.subscription_id for s in oracle.match(event)
+            if verify:
+                oracle = MatchingEngine()
+                for subscription in subscriptions:
+                    oracle.add(subscription)
+                for index, event in enumerate(events):
+                    expected = sorted(
+                        s.subscription_id for s in oracle.match(event)
+                    )
+                    got = sorted(delivered.get(event.event_id, []))
+                    if got != expected:
+                        raise AssertionError(
+                            f"routed delivery diverged from oracle on event "
+                            f"{index} (topology={topology}, batch={batch_size})"
                         )
-                        got = sorted(delivered.get(event.event_id, []))
-                        if got != expected:
-                            raise AssertionError(
-                                f"routed delivery diverged from oracle on event "
-                                f"{index} (topology={topology}, shards={num_shards}, "
-                                f"batch={batch_size}, executor={executor_kind})"
-                            )
 
-                hops = cluster.metrics.histogram("cluster.delivery_hops")
-                e2e = cluster.metrics.histogram("cluster.e2e_delay")
-                forwarded = cluster.metrics.counter("cluster.events_forwarded").value
-                result.add_row(
-                    topology=topology,
-                    shards=num_shards,
-                    batch_size=batch_size,
-                    deliveries=cluster.metrics.counter("cluster.deliveries").value,
-                    mean_hops=hops.mean,
-                    max_hops=hops.maximum if hops.count else 0.0,
-                    forwards_per_event=forwarded / num_events,
-                    mean_e2e_delay_ms=e2e.mean * 1000.0,
-                    p95_e2e_delay_ms=e2e.percentile(95) * 1000.0 if e2e.count else 0.0,
-                    sim_throughput_eps=cluster.throughput(),
-                )
+            hops = cluster.metrics.histogram("cluster.delivery_hops")
+            e2e = cluster.metrics.histogram("cluster.e2e_delay")
+            forwarded = cluster.metrics.counter("cluster.events_forwarded").value
+            result.add_row(
+                topology=topology,
+                batch_size=batch_size,
+                deliveries=cluster.metrics.counter("cluster.deliveries").value,
+                mean_hops=hops.mean,
+                max_hops=hops.maximum if hops.count else 0.0,
+                forwards_per_event=forwarded / num_events,
+                mean_e2e_delay_ms=e2e.mean * 1000.0,
+                p95_e2e_delay_ms=e2e.percentile(95) * 1000.0 if e2e.count else 0.0,
+                sim_throughput_eps=cluster.throughput(),
+            )
         result.add_table(
             f"broker timing — {topology} (last point)",
             broker_timing_breakdown(cluster),
@@ -540,9 +492,7 @@ def run_wire_cluster_scale(
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Cluster-layer sweep: shards x batch size"
-    )
+    parser = argparse.ArgumentParser(description="Cluster-layer sweep: batch size")
     parser.add_argument(
         "--scale",
         type=float,
@@ -552,18 +502,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--verify",
         action="store_true",
-        help="check sharded results against the naive oracle (exit 1 on mismatch)",
+        help="check matching results against the naive oracle (exit 1 on mismatch)",
     )
     parser.add_argument(
         "--routed",
         action="store_true",
-        help="also run the routed sweep (topology x shards x batch size)",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=EXECUTOR_KINDS,
-        default="serial",
-        help="shard executor for the routed sweep's sharded nodes",
+        help="also run the routed sweep (topology x batch size)",
     )
     parser.add_argument(
         "--publish-batch",
@@ -595,7 +539,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 scale=args.scale,
                 verify=args.verify,
                 seed=args.seed,
-                executor_kind=args.executor,
                 publish_batch=args.publish_batch,
             )
             print(routed.summary())

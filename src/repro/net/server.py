@@ -52,9 +52,8 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 from repro.cluster.durable import DurableLog
 from repro.net import wire
 from repro.net.wire import FrameError, Message, ProtocolError
-from repro.pubsub.broker import Broker, EngineFactory
+from repro.pubsub.broker import Broker
 from repro.pubsub.events import Event
-from repro.pubsub.matching import MatchingEngine
 from repro.pubsub.subscriptions import Subscription
 from repro.sim.metrics import MetricsRegistry
 
@@ -149,10 +148,6 @@ class BrokerServer:
         ``{peer name: (host, port)}`` broker links this server initiates.
         The launcher assigns each topology edge to exactly one dialer;
         the other endpoint just accepts.
-    engine_factory:
-        Matching-engine factory for the node's local and per-neighbour
-        routing engines (``MatchingEngine`` by default, sharded engines
-        plug in unchanged).
     queue_limit:
         Outbound frames buffered per connection before backpressure.
     """
@@ -163,7 +158,6 @@ class BrokerServer:
         host: str = "127.0.0.1",
         port: int = 0,
         dial: Optional[Dict[str, Tuple[str, int]]] = None,
-        engine_factory: EngineFactory = MatchingEngine,
         metrics: Optional[MetricsRegistry] = None,
         queue_limit: int = 1024,
     ) -> None:
@@ -171,7 +165,7 @@ class BrokerServer:
         self.host = host
         self.port = port
         self.dial = dict(dial or {})
-        self.node = Broker(name, engine_factory=engine_factory)
+        self.node = Broker(name)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.queue_limit = queue_limit
         self._server: Optional[asyncio.base_events.Server] = None
@@ -707,14 +701,11 @@ async def serve_broker(
     host: str = "127.0.0.1",
     port: int = 0,
     dial: Optional[Dict[str, Tuple[str, int]]] = None,
-    engine_factory: EngineFactory = MatchingEngine,
     ready_callback: Optional[Any] = None,
 ) -> BrokerServer:
     """Convenience: construct + start a server (used by tests and
     :mod:`repro.net.broker_main`)."""
-    server = BrokerServer(
-        name, host=host, port=port, dial=dial, engine_factory=engine_factory
-    )
+    server = BrokerServer(name, host=host, port=port, dial=dial)
     await server.start()
     if ready_callback is not None:
         ready_callback(server)

@@ -154,7 +154,6 @@ def broker_timing_breakdown(cluster: "BrokerCluster") -> List[Dict[str, object]]
                 "crashes": stats.crashes,
                 "lost": stats.events_lost,
                 "down_s": round(stats.downtime, 4),
-                "shards": getattr(broker.engine, "num_shards", 1),
             }
         )
     return rows

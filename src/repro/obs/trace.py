@@ -15,7 +15,7 @@ always-sample while an anomaly is active) and threads a
     hop count, broker incarnation);
 ``match``
     the service cycle that matched the event (attrs: batch size, match
-    count, shard count, incarnation);
+    count, incarnation);
 ``deliver``
     local deliveries produced by a match (attrs: delivery count,
     subscription ids, truncated past a cap);

@@ -9,7 +9,7 @@ forwarded only toward brokers with interested subscribers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Set
 
 from repro.pubsub.events import Event
@@ -17,10 +17,6 @@ from repro.pubsub.matching import MatchingEngine, RouteProbeCache
 from repro.pubsub.subscriptions import Subscription, minimal_cover
 
 DeliveryCallback = Callable[[str, Event, Subscription], None]
-# Factory producing a matching engine (MatchingEngine, ShardedMatchingEngine,
-# or anything implementing the same interface); pluggable so overlays can
-# run sharded nodes.
-EngineFactory = Callable[[], MatchingEngine]
 
 
 @dataclass
@@ -46,21 +42,10 @@ class BrokerStats:
 class Broker:
     """One node in the content-based routing overlay."""
 
-    def __init__(
-        self,
-        name: str,
-        engine_factory: Optional[EngineFactory] = None,
-        local_engine: Optional[MatchingEngine] = None,
-    ) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.engine_factory: EngineFactory = (
-            engine_factory if engine_factory is not None else MatchingEngine
-        )
-        # Subscriptions from clients attached directly to this broker.  A
-        # pre-built engine may be injected (the sim-clock BrokerCluster
-        # shares one engine between a broker process and its routing node);
-        # per-neighbour routing engines always come from the factory.
-        self.local_engine = local_engine if local_engine is not None else self.engine_factory()
+        # Subscriptions from clients attached directly to this broker.
+        self.local_engine = MatchingEngine()
         # Subscriptions learned from each neighbouring broker (routing state):
         # neighbour name -> matching engine of subscriptions reachable via it.
         self.remote_engines: Dict[str, MatchingEngine] = {}
@@ -78,7 +63,7 @@ class Broker:
     def add_neighbour(self, neighbour_name: str) -> None:
         self.neighbours.add(neighbour_name)
         if neighbour_name not in self.remote_engines:
-            self.remote_engines[neighbour_name] = self.engine_factory()
+            self.remote_engines[neighbour_name] = MatchingEngine()
 
     def remove_neighbour(self, neighbour_name: str) -> None:
         """Drop a neighbour link and every route learned through it."""
@@ -89,7 +74,7 @@ class Broker:
         """Forget all routing state learned via ``neighbour_name`` while
         keeping the link (route repair rebuilds the table in place)."""
         if neighbour_name in self.remote_engines:
-            self.remote_engines[neighbour_name] = self.engine_factory()
+            self.remote_engines[neighbour_name] = MatchingEngine()
 
     def on_delivery(self, callback: DeliveryCallback) -> None:
         """Register a callback invoked for every local delivery
@@ -115,8 +100,8 @@ class Broker:
         """Batch ingest of local subscriptions.
 
         Same per-subscription semantics as :meth:`subscribe_local`
-        (distinct-id accounting, replace-on-readd), with the engine's
-        ``add_many`` batch path when it has one.
+        (distinct-id accounting, replace-on-readd), through the engine's
+        ``add_many`` batch path.
         """
         engine = self.local_engine
         batch = list(subscriptions)
@@ -126,12 +111,7 @@ class Broker:
             {s.subscription_id for s in batch}
             - {s.subscription_id for s in batch if s.subscription_id in engine}
         )
-        batch_add = getattr(engine, "add_many", None)
-        if batch_add is not None:
-            batch_add(batch)
-        else:
-            for subscription in batch:
-                engine.add(subscription)
+        engine.add_many(batch)
         self.stats.subscriptions_received += fresh
 
     def unsubscribe_local(self, subscription_id: str) -> bool:
@@ -142,7 +122,7 @@ class Broker:
         ``neighbour_name``."""
         engine = self.remote_engines.get(neighbour_name)
         if engine is None:
-            engine = self.remote_engines[neighbour_name] = self.engine_factory()
+            engine = self.remote_engines[neighbour_name] = MatchingEngine()
         engine.add(subscription)
 
     def forget_remote(self, neighbour_name: str, subscription_id: str) -> bool:
@@ -183,19 +163,14 @@ class Broker:
         for neighbour, engine in self.remote_engines.items():
             if neighbour == exclude:
                 continue
-            # Only the boolean matters on the forwarding path; when the
-            # engine supports it, answer through the per-neighbour probe
-            # cache (validated against the engine's mutation version) so
-            # a stream of routing decisions amortizes the index walks.
-            probe = getattr(engine, "matches_any_cached", None)
-            if probe is None:
-                if engine.matches_any(event):
-                    interested.append(neighbour)
-                continue
+            # Only the boolean matters on the forwarding path; answer
+            # through the per-neighbour probe cache (validated against the
+            # engine's mutation version) so a stream of routing decisions
+            # amortizes the index walks.
             cache = caches.get(neighbour)
             if cache is None:
                 cache = caches[neighbour] = RouteProbeCache()
-            if probe(event, cache):
+            if engine.matches_any_cached(event, cache):
                 interested.append(neighbour)
         return sorted(interested)
 

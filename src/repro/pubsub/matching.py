@@ -94,18 +94,6 @@ def _is_number(value: object) -> bool:
     return isinstance(value, (int, float)) and value == value
 
 
-def distinct_subscribers(matched: List[Subscription]) -> List[str]:
-    """Distinct subscriber names of a match list, first-match order.
-
-    Shared by every engine's ``match_subscribers`` so dedup/ordering
-    semantics cannot drift between the single and sharded engines.
-    """
-    seen: Dict[str, None] = {}
-    for subscription in matched:
-        seen.setdefault(subscription.subscriber, None)
-    return list(seen)
-
-
 class _SingleAttributeView:
     """Duck-typed single-attribute event for ``Predicate.matches``.
 
@@ -626,8 +614,8 @@ class MatchingEngine:
         """Distinct subscriber names whose subscriptions match ``event``.
 
         Dedupes on the interned subscriber-id column (integer set probes
-        instead of string hashing); same names/order as
-        :func:`distinct_subscribers` over :meth:`match`.
+        instead of string hashing); names come in first-match order of
+        :meth:`match`.
         """
         matched = self.match(event)
         slot_of = self._slot_of

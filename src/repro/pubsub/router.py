@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.cluster.routing import RoutingFabric
-from repro.pubsub.broker import Broker, EngineFactory
+from repro.pubsub.broker import Broker
 from repro.pubsub.events import Event
 from repro.pubsub.subscriptions import Subscription
 from repro.sim.metrics import MetricsRegistry
@@ -46,15 +46,10 @@ class BrokerOverlay:
     def __init__(
         self,
         metrics: Optional[MetricsRegistry] = None,
-        engine_factory: Optional[EngineFactory] = None,
         merge_ingress: bool = False,
     ) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.fabric = RoutingFabric(metrics=self.metrics, merge_ingress=merge_ingress)
-        # Default matching-engine factory for brokers added to this overlay;
-        # pass e.g. ``lambda: ShardedMatchingEngine(num_shards=4)`` to run
-        # every node sharded.
-        self.engine_factory = engine_factory
 
     @property
     def brokers(self) -> Dict[str, Broker]:
@@ -62,15 +57,8 @@ class BrokerOverlay:
 
     # -- topology -----------------------------------------------------------
 
-    def add_broker(
-        self, name: str, engine_factory: Optional[EngineFactory] = None
-    ) -> Broker:
-        broker = Broker(
-            name,
-            engine_factory=(
-                engine_factory if engine_factory is not None else self.engine_factory
-            ),
-        )
+    def add_broker(self, name: str) -> Broker:
+        broker = Broker(name)
         self.fabric.add_node(name, broker)
         return broker
 
@@ -175,10 +163,9 @@ class BrokerOverlay:
 def build_line_overlay(
     num_brokers: int,
     metrics: Optional[MetricsRegistry] = None,
-    engine_factory: Optional[EngineFactory] = None,
 ) -> BrokerOverlay:
     """A chain of brokers b0 - b1 - ... - bN-1 (worst-case diameter)."""
-    overlay = BrokerOverlay(metrics=metrics, engine_factory=engine_factory)
+    overlay = BrokerOverlay(metrics=metrics)
     for index in range(num_brokers):
         overlay.add_broker(f"b{index}")
     for index in range(num_brokers - 1):
@@ -189,10 +176,9 @@ def build_line_overlay(
 def build_star_overlay(
     num_leaves: int,
     metrics: Optional[MetricsRegistry] = None,
-    engine_factory: Optional[EngineFactory] = None,
 ) -> BrokerOverlay:
     """A hub broker with ``num_leaves`` leaf brokers."""
-    overlay = BrokerOverlay(metrics=metrics, engine_factory=engine_factory)
+    overlay = BrokerOverlay(metrics=metrics)
     overlay.add_broker("hub")
     for index in range(num_leaves):
         name = f"leaf{index}"
@@ -205,12 +191,11 @@ def build_tree_overlay(
     depth: int,
     fanout: int,
     metrics: Optional[MetricsRegistry] = None,
-    engine_factory: Optional[EngineFactory] = None,
 ) -> BrokerOverlay:
     """A complete tree of brokers with the given depth and fanout."""
     if depth < 1 or fanout < 1:
         raise ValueError("depth and fanout must be at least 1")
-    overlay = BrokerOverlay(metrics=metrics, engine_factory=engine_factory)
+    overlay = BrokerOverlay(metrics=metrics)
     overlay.add_broker("t0")
     frontier = ["t0"]
     counter = 1

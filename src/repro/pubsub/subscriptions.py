@@ -76,7 +76,7 @@ class Predicate:
 
     def __getstate__(self) -> Dict[str, object]:
         # String hashes are salted per process: never ship the memoized
-        # hash through pickle (workers recompute their own).
+        # hash through pickle (the loading process recomputes its own).
         return {
             "attribute": self.attribute,
             "operator": self.operator,
@@ -150,14 +150,19 @@ class Predicate:
                     return o_val <= s_val  # type: ignore[operator]
                 if o_op is Operator.EQ:
                     return o_val < s_val  # type: ignore[operator]
+            # PREFIX/CONTAINS only match string values, so they cannot
+            # cover an equality on a number or a bool (``5 == 5`` matches,
+            # ``"5" in 5`` does not).
             if s_op is Operator.PREFIX:
                 if o_op is Operator.PREFIX:
                     return str(o_val).startswith(str(s_val))
                 if o_op is Operator.EQ:
-                    return str(o_val).startswith(str(s_val))
+                    return isinstance(o_val, str) and o_val.startswith(str(s_val))
             if s_op is Operator.CONTAINS:
-                if o_op in (Operator.CONTAINS, Operator.EQ):
+                if o_op is Operator.CONTAINS:
                     return str(s_val) in str(o_val)
+                if o_op is Operator.EQ:
+                    return isinstance(o_val, str) and str(s_val) in o_val
         except TypeError:
             return False
         return False
@@ -390,7 +395,8 @@ class PredicatePool:
 
     Ids are process-local.  Pickled subscriptions drop their memoized
     shape (``Subscription.__getstate__``) and re-intern lazily wherever
-    they are unpickled, so the multiprocess shard executors stay correct.
+    they are unpickled, so a subscription shipped to another process
+    stays correct.
     Predicates with unhashable values cannot be interned; such
     subscriptions simply fall back to the uninterned slow paths.
     """
@@ -530,7 +536,7 @@ class PredicatePool:
         }
 
 
-#: Process-global pool shared by every engine, shard and fabric in-process.
+#: Process-global pool shared by every engine and fabric in-process.
 PREDICATE_POOL = PredicatePool()
 
 
@@ -556,9 +562,8 @@ class Subscription:
         )
 
     def __getstate__(self) -> Dict[str, object]:
-        # Pool ids and covering memos are process-local; pickles (e.g. the
-        # multiprocess shard executor specs) carry only the declared fields
-        # and re-intern lazily wherever they are loaded.
+        # Pool ids and covering memos are process-local; pickles carry only
+        # the declared fields and re-intern lazily wherever they are loaded.
         return {
             "event_type": self.event_type,
             "predicates": self.predicates,

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.broker_cluster import BrokerCluster
-from repro.cluster.sharded import ShardedMatchingEngine
 from repro.pubsub.events import Event
 from repro.pubsub.subscriptions import Operator, Predicate, Subscription
 
@@ -39,13 +38,6 @@ class TestWiring:
             cluster.add_broker("b", batch_size=0)
         with pytest.raises(ValueError):
             cluster.add_broker("c", batch_overhead=-1)
-
-    def test_engine_factory_builds_sharded_brokers(self):
-        cluster = BrokerCluster(
-            engine_factory=lambda: ShardedMatchingEngine(num_shards=2)
-        )
-        broker = cluster.add_broker("b0")
-        assert isinstance(broker.engine, ShardedMatchingEngine)
 
 
 class TestQueueing:

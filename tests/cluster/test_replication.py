@@ -49,7 +49,7 @@ def _restore_all_links(cluster, broker):
             cluster.restore_link(broker, peer)
 
 
-class TestPlacement:
+class TestReplicaHomes:
     def test_replicas_are_bfs_nearest(self):
         cluster, names = _line5()
         replication = ReplicationManager(cluster, replication_factor=2)

@@ -135,7 +135,6 @@ class TestRoutedClusterSweep:
 
         result = run_routed_cluster_scale(
             topologies=("line", "star"),
-            shard_counts=(1,),
             batch_sizes=(1, 8),
             num_brokers=4,
             scale=0.03,

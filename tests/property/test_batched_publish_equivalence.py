@@ -6,8 +6,8 @@ per next-hop link — none of which may change *what* is delivered.  This
 suite pins, over seeded random workloads:
 
 * batched delivery sets equal the per-event path (same publish times)
-  and the single-engine oracle across topologies, sharded engines with
-  serial and multiprocess executors, and covering-aware ingress merging;
+  and the single-engine oracle across topologies and covering-aware
+  ingress merging;
 * the route-set cache is safe under mid-batch control-plane mutation: a
   subscription retracted from a delivery callback between one batch
   member's match and the next member's forward must stop forwarding
@@ -30,8 +30,6 @@ import pytest
 
 from repro.cluster.broker_cluster import BrokerCluster, build_cluster_topology
 from repro.cluster.routing import RoutingFabric
-from repro.cluster.sharded import ShardedMatchingEngine
-from repro.cluster.workers import MultiprocessExecutor
 from repro.experiments.substrate import make_event, make_subscription
 from repro.obs.loss import attribute_losses
 from repro.obs.trace import Tracer
@@ -186,38 +184,6 @@ class TestBatchedEquivalence:
         ]
         delivered = _run(cluster, anchored, batched=True)
         assert delivered == _oracle_sets(subscriptions, events, removed)
-
-    @pytest.mark.parametrize("topology", TOPOLOGIES)
-    def test_sharded_serial_executor(self, topology):
-        rng = SeededRNG(47)
-        subscriptions, events = _workload(rng, num_subs=140, num_events=60)
-        cluster = _cluster(engine_factory=lambda: ShardedMatchingEngine(num_shards=3))
-        names = build_cluster_topology(topology, 4, cluster)
-        _place(cluster, names, rng.fork("place"), subscriptions)
-        schedule = _publish_schedule(rng, events, 8)
-        anchored = [
-            (at, names[idx % len(names)], chunk) for (at, idx, chunk) in schedule
-        ]
-        delivered = _run(cluster, anchored, batched=True)
-        assert delivered == _oracle_sets(subscriptions, events)
-
-    def test_sharded_multiprocess_executor(self):
-        rng = SeededRNG(59)
-        subscriptions, events = _workload(rng, num_subs=60, num_events=24)
-        with MultiprocessExecutor(processes=2, chunk_size=16) as executor:
-            cluster = _cluster(
-                engine_factory=lambda: ShardedMatchingEngine(
-                    num_shards=2, executor=executor
-                )
-            )
-            names = build_cluster_topology("line", 3, cluster)
-            _place(cluster, names, rng.fork("place"), subscriptions)
-            schedule = _publish_schedule(rng, events, 6)
-            anchored = [
-                (at, names[idx % len(names)], chunk) for (at, idx, chunk) in schedule
-            ]
-            delivered = _run(cluster, anchored, batched=True)
-        assert delivered == _oracle_sets(subscriptions, events)
 
     def test_merge_ingress(self):
         rng = SeededRNG(83)

@@ -3,7 +3,7 @@
 A routed cluster partitions subscriptions across brokers (by placement
 choice) and forwards events over overlay links through mailboxes with
 simulated latency — none of which may change *what* is delivered.  For
-every topology, subscription placement, and executor the union of
+every topology and subscription placement the union of
 deliveries across brokers must equal the match set of one oracle
 :class:`MatchingEngine` holding every subscription, event by event.  Churn
 (unsubscribing a random slice mid-run, including covering subscriptions
@@ -16,8 +16,6 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.broker_cluster import BrokerCluster, build_cluster_topology
-from repro.cluster.sharded import ShardedMatchingEngine
-from repro.cluster.workers import MultiprocessExecutor
 from repro.experiments.substrate import make_event, make_subscription
 from repro.pubsub.matching import MatchingEngine
 from repro.pubsub.subscriptions import Operator, Predicate, Subscription
@@ -148,32 +146,3 @@ class TestRoutedEquivalence:
         ]
         assert sorted(delivered) == sorted(expected)
         assert expected  # the workload must actually exercise the route
-
-    @pytest.mark.parametrize("topology", TOPOLOGIES)
-    def test_sharded_nodes_with_serial_executor(self, topology):
-        rng = SeededRNG(41)
-        cluster = BrokerCluster(
-            service_rate=5000.0,
-            link_latency=0.001,
-            engine_factory=lambda: ShardedMatchingEngine(num_shards=3),
-        )
-        names = build_cluster_topology(topology, 4, cluster)
-        subscriptions, events = _workload(rng, num_subs=140, num_events=60)
-        delivered, _ = _run_routed(cluster, names, rng, subscriptions, events)
-        assert delivered == _oracle_sets(subscriptions, events)
-
-    @pytest.mark.parametrize("topology", TOPOLOGIES)
-    def test_sharded_nodes_with_multiprocess_executor(self, topology):
-        rng = SeededRNG(59)
-        with MultiprocessExecutor(processes=2, chunk_size=16) as executor:
-            cluster = BrokerCluster(
-                service_rate=5000.0,
-                link_latency=0.001,
-                engine_factory=lambda: ShardedMatchingEngine(
-                    num_shards=2, executor=executor
-                ),
-            )
-            names = build_cluster_topology(topology, 3, cluster)
-            subscriptions, events = _workload(rng, num_subs=60, num_events=25)
-            delivered, _ = _run_routed(cluster, names, rng, subscriptions, events)
-            assert delivered == _oracle_sets(subscriptions, events)

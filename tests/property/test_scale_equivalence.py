@@ -3,7 +3,7 @@
 Two oracles pin the PR-6 scale work:
 
 * the interned/columnar :class:`~repro.pubsub.matching.MatchingEngine`
-  (and the sharded engine fed through ``add_many``) must stay
+  (also when fed through ``add_many``) must stay
   observationally identical to :class:`NaiveMatchingEngine` across
   randomized churn over a *shared* predicate universe — the regime where
   interning actually shares state between subscriptions;
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.sharded import ShardedMatchingEngine
 from repro.pubsub.events import Event
 from repro.pubsub.matching import MatchingEngine, NaiveMatchingEngine
 from repro.pubsub.router import BrokerOverlay
@@ -114,10 +113,10 @@ class TestEngineChurnEquivalence:
         assert stats["distinct_shapes"] <= stats["slots"]
 
     @pytest.mark.parametrize("seed", [5, 29])
-    def test_sharded_add_many_equals_naive(self, seed):
+    def test_add_many_equals_naive(self, seed):
         rng = SeededRNG(seed)
         universe = _predicate_universe()
-        sharded = ShardedMatchingEngine(num_shards=4)
+        fast = MatchingEngine()
         naive = NaiveMatchingEngine()
 
         for _round in range(6):
@@ -131,18 +130,18 @@ class TestEngineChurnEquivalence:
                     rng, universe, subscription_id=batch[0].subscription_id
                 )
                 batch.append(clone)
-            sharded.add_many(batch)
+            fast.add_many(batch)
             naive.add_many(batch)
             for subscription_id in rng.sample(
                 [s.subscription_id for s in naive.subscriptions()],
                 min(4, len(naive)),
             ):
-                assert sharded.remove(subscription_id) == naive.remove(subscription_id)
-            assert len(sharded) == len(naive)
+                assert fast.remove(subscription_id) == naive.remove(subscription_id)
+            assert len(fast) == len(naive)
             for _probe in range(10):
                 event = _random_event(rng)
-                assert _ids(sharded.match(event)) == _ids(naive.match(event))
-                assert sharded.match_subscribers(event) == naive.match_subscribers(event)
+                assert _ids(fast.match(event)) == _ids(naive.match(event))
+                assert fast.match_subscribers(event) == naive.match_subscribers(event)
 
 
 class TestIngressMergeEquivalence:

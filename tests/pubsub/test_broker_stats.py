@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from repro.cluster.sharded import ShardedMatchingEngine
 from repro.pubsub.broker import Broker
 from repro.pubsub.events import Event
 from repro.pubsub.subscriptions import Operator, Predicate, Subscription
@@ -64,26 +63,11 @@ class TestSubscriptionAccounting:
         assert broker.stats.subscriptions_received == 2
 
 
-class TestEngineFactory:
-    def test_broker_runs_sharded_local_engine(self):
-        broker = Broker("b0", engine_factory=lambda: ShardedMatchingEngine(2))
-        assert isinstance(broker.local_engine, ShardedMatchingEngine)
-        broker.subscribe_local(_sub("alpha"))
-        broker.subscribe_local(_sub("alpha"))  # distinct ids
-        event = Event(event_type="news.story", attributes={"topic": "alpha"})
-        assert len(broker.deliver_local(event)) == 2
-        assert broker.stats.events_delivered == 2
-
-    def test_remote_engines_use_factory(self):
-        broker = Broker("b0", engine_factory=lambda: ShardedMatchingEngine(2))
+class TestRemoteEngines:
+    def test_remote_engines_created_on_demand(self):
+        broker = Broker("b0")
         broker.add_neighbour("b1")
-        assert isinstance(broker.remote_engines["b1"], ShardedMatchingEngine)
+        assert len(broker.remote_engines["b1"]) == 0
         broker.learn_remote("b2", _sub("alpha"))
-        assert isinstance(broker.remote_engines["b2"], ShardedMatchingEngine)
-
-    def test_reissue_not_double_counted_with_sharded_engine(self):
-        broker = Broker("b0", engine_factory=lambda: ShardedMatchingEngine(2))
-        subscription = _sub("alpha", sub_id="sub-s")
-        broker.subscribe_local(subscription)
-        broker.subscribe_local(_sub("beta", sub_id="sub-s"))
-        assert broker.stats.subscriptions_received == 1
+        assert len(broker.remote_engines["b2"]) == 1
+        assert broker.routing_table_size() == 1

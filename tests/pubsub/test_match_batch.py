@@ -1,11 +1,9 @@
-"""BatchPublisher and MatchingEngine.match_batch units."""
+"""MatchingEngine.match_batch units."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cluster.batch import BatchPublisher
-from repro.cluster.sharded import ShardedMatchingEngine
 from repro.pubsub.events import Event
 from repro.pubsub.matching import MatchingEngine, NaiveMatchingEngine
 from repro.pubsub.subscriptions import Operator, Predicate, Subscription
@@ -86,68 +84,3 @@ class TestMatchBatch:
         _, naive = engines
         events = [_event("alpha", 9), _event("beta", 1)]
         assert naive.match_batch(events) == [naive.match(e) for e in events]
-
-
-class TestBatchPublisher:
-    def test_report_and_metrics(self, engines):
-        fast, naive = engines
-        publisher = BatchPublisher(fast)
-        events = [_event("alpha", 9), _event("beta", 1), _event("gamma", 2)]
-        report = publisher.publish_batch(events)
-        expected = sum(len(naive.match(e)) for e in events)
-        assert report.events == 3
-        assert report.deliveries == expected
-        assert report.matches_per_event == pytest.approx(expected / 3)
-        assert publisher.metrics.counter("batch.batches").value == 1
-        assert publisher.metrics.counter("batch.events").value == 3
-        assert publisher.metrics.counter("batch.deliveries").value == expected
-        assert publisher.metrics.histogram("batch.size").mean == pytest.approx(3.0)
-
-    def test_delivery_callbacks(self, engines):
-        fast, naive = engines
-        publisher = BatchPublisher(fast)
-        seen = []
-        publisher.on_delivery(
-            lambda subscriber, event, subscription: seen.append(
-                (subscriber, event.get("topic"), subscription.subscription_id)
-            )
-        )
-        events = [_event("alpha", 9)]
-        report = publisher.publish_batch(events)
-        assert len(seen) == report.deliveries
-        assert {sub_id for _, _, sub_id in seen} == {
-            s.subscription_id for s in naive.match(events[0])
-        }
-
-    def test_publish_stream_chunks(self, engines):
-        fast, _ = engines
-        publisher = BatchPublisher(fast)
-        events = [_event("alpha", i % 10) for i in range(10)]
-        reports = publisher.publish_stream(events, batch_size=4)
-        assert [r.events for r in reports] == [4, 4, 2]
-        with pytest.raises(ValueError):
-            publisher.publish_stream(events, batch_size=0)
-
-    def test_works_with_sharded_engine(self, engines):
-        _, naive = engines
-        sharded = ShardedMatchingEngine(num_shards=3)
-        for subscription in naive.subscriptions():
-            sharded.add(subscription)
-        publisher = BatchPublisher(sharded)
-        events = [_event("alpha", 9), _event("beta", 1)]
-        report = publisher.publish_batch(events)
-        assert report.deliveries == sum(len(naive.match(e)) for e in events)
-
-    def test_falls_back_to_match_when_no_match_batch(self):
-        class MinimalEngine:
-            def __init__(self):
-                self.inner = MatchingEngine()
-
-            def match(self, event):
-                return self.inner.match(event)
-
-        minimal = MinimalEngine()
-        minimal.inner.add(_sub("alpha"))
-        publisher = BatchPublisher(minimal)
-        report = publisher.publish_batch([_event("alpha")])
-        assert report.deliveries == 1

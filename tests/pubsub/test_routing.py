@@ -71,32 +71,6 @@ class TestOverlayTopology:
         with pytest.raises(ValueError):
             build_tree_overlay(0, 2)
 
-    def test_engine_factory_threads_through_overlay(self):
-        from repro.cluster import ShardedMatchingEngine
-
-        factory = lambda: ShardedMatchingEngine(num_shards=2)  # noqa: E731
-        overlay = build_line_overlay(3, engine_factory=factory)
-        for broker in overlay.brokers.values():
-            assert isinstance(broker.local_engine, ShardedMatchingEngine)
-        # Routing still works end to end on sharded nodes.
-        overlay.attach_client("pub", "b0")
-        overlay.attach_client("alice", "b2")
-        overlay.subscribe(
-            "alice",
-            topic_subscription("news.story", "topic", "sports", subscriber="alice"),
-        )
-        report = overlay.publish("pub", news("sports"))
-        assert report.deliveries == 1
-        assert "alice" in report.subscribers
-        # Per-broker override beats the overlay default.
-        mixed = BrokerOverlay(engine_factory=factory)
-        from repro.pubsub.matching import MatchingEngine
-
-        plain = mixed.add_broker("plain", engine_factory=MatchingEngine)
-        sharded = mixed.add_broker("sharded")
-        assert isinstance(plain.local_engine, MatchingEngine)
-        assert isinstance(sharded.local_engine, ShardedMatchingEngine)
-
 
 class TestContentRouting:
     @pytest.fixture
@@ -172,6 +146,24 @@ class TestContentRouting:
         # broker, so routing state does not grow.
         assert overlay.total_routing_state() == state_after_broad
         assert overlay.metrics.counter("overlay.subscription_pruned").value > 0
+
+    def test_string_cover_does_not_prune_numeric_equality_route(self, overlay):
+        """A CONTAINS subscription must not hide a numeric equality one on
+        the same attribute (regression: ``covers`` compared ``str(value)``,
+        so the equality route was pruned and its events were lost)."""
+        overlay.subscribe("alice", Subscription(
+            event_type="news.story",
+            predicates=(Predicate("priority", Operator.CONTAINS, "5"),),
+            subscriber="alice",
+        ))
+        overlay.subscribe("alice", Subscription(
+            event_type="news.story",
+            predicates=(Predicate("priority", Operator.EQ, 5),),
+            subscriber="alice",
+        ))
+        report = overlay.publish("pub", news("any", priority=5))
+        assert report.deliveries == 1
+        assert "b3" in report.brokers_visited
 
     def test_unsubscribe_restores_covered_routes(self, overlay):
         """Removing a covering subscription must re-advertise the routes of

@@ -89,6 +89,18 @@ class TestPredicateCovering:
         predicate = Predicate("p", Operator.EQ, 1)
         assert predicate.covers(Predicate("p", Operator.EQ, 1))
 
+    def test_string_operators_do_not_cover_non_string_equality(self):
+        # PREFIX/CONTAINS match only string values: an event with y=5
+        # matches ``y == 5`` but neither ``y prefix 5`` nor ``y contains "5"``.
+        for operator in (Operator.PREFIX, Operator.CONTAINS):
+            for value in (5, -0.5, True):
+                narrow = Predicate("y", Operator.EQ, value)
+                assert not Predicate("y", operator, "5").covers(narrow)
+                assert not Predicate("y", operator, value).covers(narrow)
+        assert Predicate("y", Operator.CONTAINS, 5).covers(
+            Predicate("y", Operator.EQ, "-0.5")
+        )
+
 
 class TestSubscription:
     def test_matches_conjunction(self):
