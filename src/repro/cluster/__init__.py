@@ -5,8 +5,7 @@ names:
 
 * :class:`~repro.cluster.routing.RoutingFabric` is the transport-agnostic
   routing core (subscription propagation with covering pruning and
-  unsubscription repair, plus next-hop decisions), shared by the
-  synchronous :class:`~repro.pubsub.router.BrokerOverlay` and the
+  unsubscription repair, plus next-hop decisions), driven by the
   sim-clock cluster;
 * :class:`~repro.cluster.broker_cluster.BrokerCluster` models brokers as
   mailbox-driven processes on the discrete-event simulator, each matching

@@ -1,18 +1,15 @@
 """Broker cluster: mailbox-driven broker processes on the simulation engine.
 
-The :class:`~repro.pubsub.router.BrokerOverlay` models routing topology but
-executes synchronously — a publication runs to completion instantly.  A
-:class:`BrokerCluster` instead models each broker as a *process*: published
+A :class:`BrokerCluster` models each broker as a *process*: published
 events enter a per-broker mailbox (FIFO queue) and are served by the
 broker at a configurable service rate, optionally in batches with a fixed
 per-cycle overhead (the connection handshake / syscall / dispatch cost
 batching amortizes).
 
 Clusters are *routed*: brokers joined with :meth:`BrokerCluster.connect`
-share the same :class:`~repro.cluster.routing.RoutingFabric` the
-synchronous overlay uses, so subscriptions placed at one broker propagate
-routes through the topology (pruned by covering) and served events are
-forwarded along interested links.  Forwarding is not a function call — it
+share one :class:`~repro.cluster.routing.RoutingFabric`, so subscriptions
+placed at one broker propagate routes through the topology (pruned by
+covering) and served events are forwarded along interested links.  Forwarding is not a function call — it
 is an ``event.forward`` message through
 :class:`~repro.sim.network.SimulatedNetwork` with per-link latency, landing
 in the neighbour's mailbox like any publication, so hop latency, remote
@@ -64,8 +61,8 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.network import Link, Message, SimulatedNetwork
 
-# Cluster deliveries also carry the serving broker's name (4 args, unlike
-# the 3-arg repro.pubsub.broker.DeliveryCallback).
+# Per-delivery callback: (broker name, subscriber, event, matching
+# subscription).
 ClusterDeliveryCallback = Callable[[str, str, Event, Subscription], None]
 # Vectorized delivery callback: (broker name, event, full match row).
 ClusterDeliveryBatchCallback = Callable[[str, Event, List[Subscription]], None]
@@ -291,9 +288,7 @@ class BrokerCluster:
         batch_size: int = 1,
         batch_overhead: float = 0.0,
         link_latency: float = 0.002,
-        network: Optional[SimulatedNetwork] = None,
         mailbox_policy: str = "freeze",
-        merge_ingress: bool = False,
         tracer: Optional[Tracer] = None,
         route_audit: bool = False,
         allow_cycles: bool = False,
@@ -305,10 +300,10 @@ class BrokerCluster:
             raise ValueError(f"mailbox_policy must be one of {MAILBOX_POLICIES}")
         self.sim = sim if sim is not None else SimulationEngine()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.default_service_rate = service_rate
-        self.default_batch_size = batch_size
-        self.default_batch_overhead = batch_overhead
-        self.default_mailbox_policy = mailbox_policy
+        self.service_rate = service_rate
+        self.batch_size = batch_size
+        self.batch_overhead = batch_overhead
+        self.mailbox_policy = mailbox_policy
         self.link_latency = link_latency
         # Cyclic (mesh) clusters route over redundant paths: the fabric
         # keeps routes on every 2-connected edge and the data plane
@@ -318,16 +313,11 @@ class BrokerCluster:
         self.dedup_ttl = dedup_ttl
         self.fabric = RoutingFabric(
             metrics=self.metrics,
-            merge_ingress=merge_ingress,
             audit=RouteAuditLog() if route_audit else None,
             allow_cycles=allow_cycles,
         )
-        self.network = (
-            network
-            if network is not None
-            else SimulatedNetwork(
-                self.sim, metrics=self.metrics, default_link=Link(latency=link_latency)
-            )
+        self.network = SimulatedNetwork(
+            self.sim, metrics=self.metrics, default_link=Link(latency=link_latency)
         )
         self.brokers: Dict[str, BrokerProcess] = {}
         self._ports: Dict[str, _BrokerPort] = {}
@@ -364,34 +354,17 @@ class BrokerCluster:
 
     # -- wiring ------------------------------------------------------------
 
-    def add_broker(
-        self,
-        name: str,
-        service_rate: Optional[float] = None,
-        batch_size: Optional[int] = None,
-        batch_overhead: Optional[float] = None,
-        mailbox_policy: Optional[str] = None,
-    ) -> BrokerProcess:
+    def add_broker(self, name: str) -> BrokerProcess:
         if name in self.brokers:
             raise ValueError(f"broker {name!r} already exists")
         node = Broker(name)
         broker = BrokerProcess(
             name=name,
             node=node,
-            service_rate=(
-                service_rate if service_rate is not None else self.default_service_rate
-            ),
-            batch_size=batch_size if batch_size is not None else self.default_batch_size,
-            batch_overhead=(
-                batch_overhead
-                if batch_overhead is not None
-                else self.default_batch_overhead
-            ),
-            mailbox_policy=(
-                mailbox_policy
-                if mailbox_policy is not None
-                else self.default_mailbox_policy
-            ),
+            service_rate=self.service_rate,
+            batch_size=self.batch_size,
+            batch_overhead=self.batch_overhead,
+            mailbox_policy=self.mailbox_policy,
         )
         broker._cluster = self
         if self.allow_cycles:

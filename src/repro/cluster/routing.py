@@ -8,15 +8,12 @@ Routing in this system has two halves that must never diverge:
 * the *data plane decision* — given an event at a broker, which neighbours
   lead toward matching subscriptions.
 
-Before this module existed both halves lived inside the synchronous
-:class:`~repro.pubsub.router.BrokerOverlay`, so the sim-clock
-:class:`~repro.cluster.broker_cluster.BrokerCluster` could not route
-between its brokers at all.  :class:`RoutingFabric` extracts topology
-management, subscription propagation, unsubscription repair and the
-forwarding decision into one component that any transport can drive: the
-overlay walks the fabric's next-hop answers synchronously, the cluster
-turns them into forwarding messages through broker mailboxes with
-simulated link latency.
+:class:`RoutingFabric` holds topology management, subscription
+propagation, unsubscription repair and the forwarding decision in one
+component that any transport can drive: the sim-clock
+:class:`~repro.cluster.broker_cluster.BrokerCluster` turns its next-hop
+answers into forwarding messages through broker mailboxes with simulated
+link latency.
 
 The fabric operates on :class:`~repro.pubsub.broker.Broker` nodes (or
 anything with the same routing surface: ``subscribe_local`` /
@@ -99,8 +96,8 @@ class SubscribeOutcome:
     replaced: bool = False
     # True when ingress merging absorbed the subscription: it is
     # registered locally but not advertised into the fabric because a
-    # live advertised same-subscriber subscription at the same home
-    # already covers it.
+    # live advertised same-subscriber subscription at the same home has
+    # the same signature.
     merged: bool = False
 
 
@@ -125,10 +122,9 @@ class RoutingFabric:
     """Topology + routing state shared by every broker transport.
 
     The fabric owns the overlay graph (kept acyclic unless constructed
-    with ``allow_cycles``, the redundant-mesh mode), the client→home
-    mapping, and the id→home mapping of live subscriptions; per-broker
-    routing tables live on the node objects themselves so the matching
-    fast paths (``interested_neighbours`` → ``matches_any``) stay where
+    with ``allow_cycles``, the redundant-mesh mode) and the id→home
+    mapping of live subscriptions; per-broker routing tables live on the
+    node objects themselves so the matching fast paths (``interested_neighbours`` → ``matches_any``) stay where
     the engines are.  With ``verify_repairs`` every mutation cross-checks
     the incremental result against a from-scratch rebuild (the CI churn
     oracle) and raises ``AssertionError`` on divergence.
@@ -138,7 +134,6 @@ class RoutingFabric:
         self,
         metrics: Optional[MetricsRegistry] = None,
         verify_repairs: bool = False,
-        merge_ingress: bool = False,
         audit: Optional[RouteAuditLog] = None,
         allow_cycles: bool = False,
     ) -> None:
@@ -162,8 +157,10 @@ class RoutingFabric:
         # select/prune/readmit/merge decision is recorded with its blocker
         # id.  Costs one `is not None` per decision when absent.
         self.audit = audit
-        self._edges: Dict[str, Set[str]] = {}
-        self._client_home: Dict[str, str] = {}
+        # node -> neighbours.  A dict used as an insertion-ordered set:
+        # edge walks follow link order, never the process's string hash
+        # order, so seeded runs (and the route audit) are reproducible.
+        self._edges: Dict[str, Dict[str, None]] = {}
         # subscription id -> (home broker, live definition); insertion
         # order is issue order (re-issues move to the end), matching the
         # ascending `_seq` numbers the per-edge covering filter uses.
@@ -177,14 +174,11 @@ class RoutingFabric:
         self._pruned_at: Dict[str, Set[RouteEntry]] = {}
         self._tables: Dict[RouteEntry, _EdgeTable] = {}
         self.verify_repairs = verify_repairs
-        # Covering-aware ingress merging (set at construction; do not
-        # toggle on a live fabric).  A subscription covered by a live
-        # *advertised* same-subscriber subscription at the same home is
-        # registered locally but kept out of `_home_of`/`_seq`/routes —
-        # the coverer's routes already bring every matching event to the
-        # home broker.  Exact-signature duplicates are always merged (the
-        # duplicate-advert no-op); the full covering merge is opt-in.
-        self.merge_ingress = merge_ingress
+        # Ingress merging of exact twins: a subscription with the same
+        # signature as a live *advertised* same-subscriber subscription at
+        # the same home is registered locally but kept out of
+        # `_home_of`/`_seq`/routes — the twin's routes already bring every
+        # matching event to the home broker (the duplicate-advert no-op).
         # merged id -> (home, definition, advertised coverer id).
         self._merged: Dict[str, Tuple[str, Subscription, str]] = {}
         # advertised coverer id -> merged ids riding on it, merge order.
@@ -193,9 +187,6 @@ class RoutingFabric:
         # exact-duplicate probe.  At most one id per key: a second
         # arrival with the same key merges instead of advertising.
         self._twins: Dict[Tuple[str, str, int], List[str]] = {}
-        # (home, subscriber) -> CoveringIndex over the advertised
-        # subscriptions (maintained only with merge_ingress).
-        self._ingress: Dict[Tuple[str, str], CoveringIndex] = {}
         # Data-plane route-set cache: (node, came_from, event signature)
         # -> next-hop list.  Every control-plane mutation bumps
         # `_route_version`; the cache is dropped lazily on the next
@@ -212,7 +203,7 @@ class RoutingFabric:
         if name in self.nodes:
             raise ValueError(f"broker {name!r} already exists")
         self.nodes[name] = node
-        self._edges[name] = set()
+        self._edges[name] = {}
         self._topology_version += 1
 
     def connect(self, first: str, second: str, propagate: bool = True) -> None:
@@ -257,8 +248,8 @@ class RoutingFabric:
         if propagate and self._home_of:
             first_side = self._component(first)
             second_side = self._component(second)
-        self._edges[first].add(second)
-        self._edges[second].add(first)
+        self._edges[first][second] = None
+        self._edges[second][first] = None
         self._route_version += 1
         self._topology_version += 1
         self.nodes[first].add_neighbour(second)
@@ -304,8 +295,8 @@ class RoutingFabric:
         and leaves everything else untouched; on a still-acyclic overlay
         the result is identical to the acyclic edge-merge path.
         """
-        self._edges[first].add(second)
-        self._edges[second].add(first)
+        self._edges[first][second] = None
+        self._edges[second][first] = None
         self._route_version += 1
         self._topology_version += 1
         self.nodes[first].add_neighbour(second)
@@ -395,8 +386,8 @@ class RoutingFabric:
         """
         if second not in self._edges.get(first, ()):
             return False
-        self._edges[first].discard(second)
-        self._edges[second].discard(first)
+        del self._edges[first][second]
+        del self._edges[second][first]
         self._route_version += 1
         self._topology_version += 1
         self.nodes[first].remove_neighbour(second)
@@ -469,9 +460,6 @@ class RoutingFabric:
         for subscription_id, (home, _sub) in list(self._home_of.items()):
             if home == name:
                 self._retract(subscription_id, force=True)
-        for client, home in list(self._client_home.items()):
-            if home == name:
-                del self._client_home[client]
         for neighbour in list(self._edges[name]):
             self.disconnect(name, neighbour)
         del self._edges[name]
@@ -518,22 +506,6 @@ class RoutingFabric:
 
     def node_names(self) -> List[str]:
         return sorted(self.nodes)
-
-    # -- client attachment ---------------------------------------------------
-
-    def attach_client(self, client: str, broker_name: str) -> None:
-        if broker_name not in self.nodes:
-            raise KeyError(f"unknown broker {broker_name!r}")
-        self._client_home[client] = broker_name
-
-    def home_broker(self, client: str) -> Optional[str]:
-        return self._client_home.get(client)
-
-    def require_home(self, client: str) -> str:
-        home = self._client_home.get(client)
-        if home is None:
-            raise KeyError(f"client {client!r} is not attached to a broker")
-        return home
 
     # -- control plane: subscription propagation -----------------------------
 
@@ -600,7 +572,7 @@ class RoutingFabric:
             ]
         # Local registration runs once for the whole batch (the engine's
         # add_many path); merge decisions above depend only on fabric
-        # state (_twins/_ingress), never on the local engine contents.
+        # state (_twins), never on the local engine contents.
         node = self.nodes[broker_name]
         register_many = getattr(node, "subscribe_local_many", None)
         if register_many is not None:
@@ -612,16 +584,6 @@ class RoutingFabric:
             self._propagate_many(broker_name, advertise)
         self._check_canonical("subscribe_many")
         return outcomes
-
-    def subscribe(self, client: str, subscription: Subscription) -> SubscribeOutcome:
-        """Place a subscription at the client's home broker."""
-        return self.subscribe_at(self.require_home(client), subscription)
-
-    def subscribe_many(
-        self, client: str, subscriptions: Iterable[Subscription]
-    ) -> List[SubscribeOutcome]:
-        """Batch-place subscriptions at the client's home broker."""
-        return self.subscribe_many_at(self.require_home(client), subscriptions)
 
     def _ingest(
         self,
@@ -691,28 +653,17 @@ class RoutingFabric:
 
     def _ingress_cover(self, home: str, subscription: Subscription) -> Optional[str]:
         """Id of the live advertised same-subscriber subscription at
-        ``home`` that makes advertising ``subscription`` redundant.
+        ``home`` with ``subscription``'s exact signature (the
+        duplicate-advert no-op), if any.
 
-        An exact-signature duplicate always merges (the duplicate-advert
-        no-op); a strictly-covering match only with :attr:`merge_ingress`.
-        Coverers are always advertised subscriptions — merged ones are
-        themselves covered by an advertised one, so transitivity
-        guarantees an advertised cover exists whenever any cover does,
-        and merge chains cannot form.
+        Coverers are always advertised subscriptions — a merged twin's
+        twin is advertised — so merge chains cannot form.
         """
         signature_id = subscription.signature_id()
         if signature_id is not None:
             twins = self._twins.get((home, subscription.subscriber, signature_id))
             if twins:
                 return twins[0]
-        if self.merge_ingress:
-            index = self._ingress.get((home, subscription.subscriber))
-            if index is not None:
-                cover = index.first_cover(
-                    subscription, exclude=subscription.subscription_id
-                )
-                if cover is not None:
-                    return cover.subscription_id
         return None
 
     def _register_ingress(self, home: str, subscription: Subscription) -> None:
@@ -721,10 +672,6 @@ class RoutingFabric:
             self._twins.setdefault(
                 (home, subscription.subscriber, signature_id), []
             ).append(subscription.subscription_id)
-        if self.merge_ingress:
-            self._ingress.setdefault(
-                (home, subscription.subscriber), CoveringIndex()
-            ).add(subscription)
 
     def _unregister_ingress(self, home: str, subscription: Subscription) -> None:
         signature_id = subscription.signature_id()
@@ -738,11 +685,6 @@ class RoutingFabric:
                     pass
                 if not ids:
                     del self._twins[key]
-        index = self._ingress.get((home, subscription.subscriber))
-        if index is not None:
-            index.discard(subscription.subscription_id)
-            if not len(index):
-                del self._ingress[(home, subscription.subscriber)]
 
     def _unmerge(self, subscription_id: str, keep_local: bool = False) -> None:
         """Drop a merge record (and, unless ``keep_local``, the local
@@ -812,12 +754,6 @@ class RoutingFabric:
             self._check_canonical("unsubscribe")
         return removed
 
-    def unsubscribe(self, client: str, subscription_id: str) -> bool:
-        home = self._client_home.get(client)
-        if home is None:
-            return False
-        return self.unsubscribe_at(home, subscription_id)
-
     def unsubscribe_many_at(
         self, broker_name: str, subscription_ids: Iterable[str]
     ) -> List[bool]:
@@ -865,15 +801,6 @@ class RoutingFabric:
             self.metrics.counter("overlay.unsubscriptions").increment(removed)
             self._check_canonical("unsubscribe_many")
         return results
-
-    def unsubscribe_many(
-        self, client: str, subscription_ids: Iterable[str]
-    ) -> List[bool]:
-        """Batch-retract at the client's home broker."""
-        home = self._client_home.get(client)
-        if home is None:
-            return [False for _ in subscription_ids]
-        return self.unsubscribe_many_at(home, subscription_ids)
 
     def _retract_deferred(
         self, subscription_id: str, pending: Dict[RouteEntry, Set[str]]
@@ -1396,32 +1323,15 @@ class RoutingFabric:
 
     # -- data plane decision --------------------------------------------------
 
-    @property
-    def route_version(self) -> int:
-        """Monotonic counter bumped on every control-plane mutation.
-
-        The data-plane route-set cache (and any external cache of
-        :meth:`next_hops` answers) is valid only while this value holds
-        still; batched forwarders re-check it per flush so a mid-batch
-        retraction invalidates routes computed earlier in the batch.
-        """
-        return self._route_version
-
-    def _bump_route_version(self) -> None:
-        self._route_version += 1
-
     def next_hops(
         self,
         broker_name: str,
         event: Event,
         came_from: Optional[str] = None,
-        flood: bool = False,
     ) -> List[str]:
-        """Neighbours the event must be forwarded to from ``broker_name``.
-
-        With ``flood=True`` every neighbour except the arrival link is a
-        next hop (the baseline); otherwise only neighbours whose routing
-        table holds at least one subscription matching the event.
+        """Neighbours the event must be forwarded to from ``broker_name``:
+        those whose routing table holds at least one subscription matching
+        the event.
 
         Routed answers are cached per (node, arrival link, event
         signature) until the next control-plane mutation, so a batch of
@@ -1429,8 +1339,6 @@ class RoutingFabric:
         of one per event.  Callers must treat the returned list as
         read-only.
         """
-        if flood:
-            return sorted(n for n in self._edges[broker_name] if n != came_from)
         cache = self._route_cache
         if self._route_cache_version != self._route_version:
             cache.clear()

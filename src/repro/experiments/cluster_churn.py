@@ -115,7 +115,6 @@ def run_cluster_churn(
     scale: float = 1.0,
     verify: bool = False,
     cross_check_repairs: bool = False,
-    merge_ingress: bool = False,
     trace: bool = False,
     trace_dump: Optional[str] = None,
     publish_batch: int = 0,
@@ -131,13 +130,6 @@ def run_cluster_churn(
     raises immediately, naming the operation.  This is the control-plane
     oracle CI arms; it is far stricter (and slower) than ``verify``,
     which only checks the final healed state per point.
-
-    ``merge_ingress`` runs every cluster with covering-aware ingress
-    merging enabled (PR 6): subscriptions covered by a live
-    same-subscriber subscription at their home broker never advertise.
-    Delivery counts and the oracles must be unaffected — combining it
-    with ``verify``/``cross_check_repairs`` is the CI check that merging
-    survives crash/recovery churn.
 
     ``trace`` arms a full-sampling :class:`~repro.obs.trace.Tracer` on
     every point and cross-checks the span record against the delivery
@@ -190,7 +182,6 @@ def run_cluster_churn(
             "mailbox_policy": mailbox_policy,
             "verified": verify,
             "cross_checked_repairs": cross_check_repairs,
-            "merge_ingress": merge_ingress,
             "traced": trace,
             "publish_batch": publish_batch,
             "replicate": replicate,
@@ -226,7 +217,6 @@ def run_cluster_churn(
                     batch_size=batch_size,
                     link_latency=link_latency,
                     mailbox_policy=mailbox_policy,
-                    merge_ingress=merge_ingress,
                     tracer=tracer,
                     allow_cycles=topology_is_cyclic(topology),
                 )
@@ -602,12 +592,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "divergence) — the control-plane CI oracle",
     )
     parser.add_argument(
-        "--merge-ingress",
-        action="store_true",
-        help="enable covering-aware ingress merging on every cluster "
-        "(combined with the oracles above, checks merging survives churn)",
-    )
-    parser.add_argument(
         "--link-flap-rate",
         type=float,
         default=0.0,
@@ -674,7 +658,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             scale=args.scale,
             verify=args.verify,
             cross_check_repairs=args.cross_check_repairs,
-            merge_ingress=args.merge_ingress,
             seed=args.seed,
             link_flap_rate=args.link_flap_rate,
             mailbox_policy=args.mailbox_policy,

@@ -7,7 +7,7 @@ here:
 
 * matching throughput of the counting-based engine as the number of active
   subscriptions grows;
-* delivery cost in the broker overlay (brokers visited per publication)
+* delivery cost in a broker tree (brokers visited per publication)
   under content-based routing versus flooding, and the same publication
   workload on the SCRIBE-style topic substrate.
 """
@@ -15,13 +15,13 @@ here:
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence
+from typing import Sequence
 
+from repro.cluster.broker_cluster import BrokerCluster
 from repro.experiments.harness import ExperimentResult
 from repro.pubsub.dht import PastryOverlay
 from repro.pubsub.events import Event
 from repro.pubsub.matching import MatchingEngine
-from repro.pubsub.router import build_tree_overlay
 from repro.pubsub.subscriptions import Operator, Predicate, Subscription
 from repro.pubsub.topics import ScribeSystem
 from repro.sim.rng import SeededRNG
@@ -110,33 +110,47 @@ def run_routing_scalability(
     rng = SeededRNG(seed)
     topics = [f"topic{i:03d}" for i in range(num_topics)]
 
-    # --- content-based broker overlay -------------------------------------
-    overlay = build_tree_overlay(depth, fanout)
-    broker_names = overlay.broker_names()
+    # --- content-based broker tree ---------------------------------------
+    # A zero-latency sim cluster: served events are forwarded only toward
+    # interested neighbours, so every broker that serves an event is one
+    # "visited" in the paper's sense.
+    cluster = BrokerCluster(link_latency=0.0)
+    cluster.add_broker("t0")
+    frontier = ["t0"]
+    for _ in range(depth - 1):
+        next_frontier = []
+        for parent in frontier:
+            for _ in range(fanout):
+                name = f"t{len(cluster.brokers)}"
+                cluster.add_broker(name)
+                cluster.connect(parent, name)
+                next_frontier.append(name)
+        frontier = next_frontier
+    broker_names = sorted(cluster.brokers)
     sub_rng = rng.fork("subs")
+    subscriptions = []
     for index in range(subscribers):
         client = f"client{index}"
-        overlay.attach_client(client, sub_rng.choice(broker_names))
-        overlay.subscribe(client, _make_subscription(sub_rng, topics, client))
-    publisher = "publisher"
-    overlay.attach_client(publisher, broker_names[0])
+        home = sub_rng.choice(broker_names)
+        subscription = _make_subscription(sub_rng, topics, client)
+        cluster.subscribe(home, subscription)
+        subscriptions.append(subscription)
 
     event_rng = rng.fork("events")
     events = [_make_event(event_rng, topics, float(i)) for i in range(publications)]
 
-    routed_visits = 0
-    routed_deliveries = 0
     for event in events:
-        report = overlay.publish(publisher, event, flood=False)
-        routed_visits += len(report.brokers_visited)
-        routed_deliveries += report.deliveries
+        cluster.publish(broker_names[0], event)
+    cluster.run()
+    routed_visits = int(cluster.metrics.counter("cluster.events_processed").value)
+    routed_deliveries = int(cluster.metrics.counter("cluster.deliveries").value)
 
-    flooded_visits = 0
-    flooded_deliveries = 0
-    for event in events:
-        report = overlay.publish(publisher, event, flood=True)
-        flooded_visits += len(report.brokers_visited)
-        flooded_deliveries += report.deliveries
+    # Flooding visits every broker of the connected tree once per event and
+    # delivers every matching subscription.
+    flooded_visits = len(broker_names) * publications
+    flooded_deliveries = sum(
+        1 for event in events for subscription in subscriptions if subscription.matches(event)
+    )
 
     # --- SCRIBE topic multicast ----------------------------------------------
     pastry = PastryOverlay()

@@ -47,7 +47,7 @@ import asyncio
 import logging
 import os
 import time
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.cluster.durable import DurableLog
 from repro.net import wire
@@ -694,19 +694,3 @@ def _plain(value: Any) -> Any:
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     return str(value)
-
-
-async def serve_broker(
-    name: str,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    dial: Optional[Dict[str, Tuple[str, int]]] = None,
-    ready_callback: Optional[Any] = None,
-) -> BrokerServer:
-    """Convenience: construct + start a server (used by tests and
-    :mod:`repro.net.broker_main`)."""
-    server = BrokerServer(name, host=host, port=port, dial=dial)
-    await server.start()
-    if ready_callback is not None:
-        ready_callback(server)
-    return server

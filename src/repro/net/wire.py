@@ -73,7 +73,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.pubsub.algebra import FilterExpr
 from repro.pubsub.events import Event
@@ -227,11 +227,6 @@ class FrameDecoder:
         if start:
             del buffer[:start]
         return frames
-
-    def feed_messages(self, data: bytes) -> Iterator[Message]:
-        """``feed`` + ``decode_payload`` (propagates ProtocolError)."""
-        for payload in self.feed(data):
-            yield decode_payload(payload)
 
     @property
     def pending_bytes(self) -> int:

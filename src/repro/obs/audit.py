@@ -39,9 +39,9 @@ Actions:
     a previously pruned entry was (re)issued because its blocker went
     away (retraction or topology change);
 ``merged-ingress``
-    with ``merge_ingress``, a new subscription was absorbed at its home
-    broker because ``blocker`` already covers it there (no propagation at
-    all);
+    a new subscription was absorbed at its home broker because
+    ``blocker``, a live subscription of the same subscriber there, has
+    the same signature (no propagation at all);
 ``evicted``
     a boot-time covering sweep removed an existing entry in favour of
     ``blocker``;

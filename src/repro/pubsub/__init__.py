@@ -11,8 +11,10 @@ for Reef to target:
 * a Cayuga-style composite event algebra — sequences, windows, aggregation,
   parametrization (:mod:`repro.pubsub.algebra`);
 * a counting-based matching engine (:mod:`repro.pubsub.matching`);
-* a Siena-style content-based broker overlay with subscription covering
-  (:mod:`repro.pubsub.broker`, :mod:`repro.pubsub.router`);
+* a Siena-style content-based broker node with per-neighbour routing
+  tables (:mod:`repro.pubsub.broker`; the overlay that propagates
+  subscriptions between brokers, pruned by covering, is
+  :mod:`repro.cluster.routing`);
 * SCRIBE-style topic multicast over a Pastry-like DHT
   (:mod:`repro.pubsub.dht`, :mod:`repro.pubsub.topics`);
 * a WAIF-style push proxy wrapping pull-based feeds

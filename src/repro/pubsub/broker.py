@@ -1,29 +1,27 @@
 """Content-based broker node (Siena/Gryphon style).
 
 A broker accepts subscriptions from local clients, matches published events
-against them, and participates in an overlay of brokers managed by
-:class:`repro.pubsub.router.BrokerOverlay`: subscriptions propagate through
-the overlay (pruned by covering relations) so that published events are
-forwarded only toward brokers with interested subscribers.
+against them, and holds one routing table per neighbour in an overlay of
+brokers.  The overlay is driven by a transport —
+:class:`repro.cluster.broker_cluster.BrokerCluster` on the sim clock,
+:class:`repro.net.server.BrokerServer` over TCP — so that published events
+are forwarded only toward brokers with interested subscribers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.pubsub.events import Event
 from repro.pubsub.matching import MatchingEngine, RouteProbeCache
-from repro.pubsub.subscriptions import Subscription, minimal_cover
-
-DeliveryCallback = Callable[[str, Event, Subscription], None]
+from repro.pubsub.subscriptions import Subscription
 
 
 @dataclass
 class BrokerStats:
     """Per-broker accounting used by the scalability benchmarks."""
 
-    events_published: int = 0
     events_forwarded: int = 0
     events_delivered: int = 0
     subscriptions_received: int = 0
@@ -31,7 +29,6 @@ class BrokerStats:
 
     def as_dict(self) -> Dict[str, int]:
         return {
-            "events_published": self.events_published,
             "events_forwarded": self.events_forwarded,
             "events_delivered": self.events_delivered,
             "subscriptions_received": self.subscriptions_received,
@@ -51,7 +48,6 @@ class Broker:
         self.remote_engines: Dict[str, MatchingEngine] = {}
         self.neighbours: Set[str] = set()
         self.stats = BrokerStats()
-        self._delivery_callbacks: List[DeliveryCallback] = []
         # Per-neighbour forwarding-probe caches (see RouteProbeCache):
         # keyed by neighbour name, validated against the remote engine's
         # identity and mutation version on every probe, so stale entries
@@ -75,11 +71,6 @@ class Broker:
         keeping the link (route repair rebuilds the table in place)."""
         if neighbour_name in self.remote_engines:
             self.remote_engines[neighbour_name] = MatchingEngine()
-
-    def on_delivery(self, callback: DeliveryCallback) -> None:
-        """Register a callback invoked for every local delivery
-        (subscriber name, event, matching subscription)."""
-        self._delivery_callbacks.append(callback)
 
     # -- subscription management --------------------------------------------
 
@@ -131,29 +122,7 @@ class Broker:
             return False
         return engine.remove(subscription_id)
 
-    def advertised_subscriptions(self, exclude_neighbour: Optional[str] = None) -> List[Subscription]:
-        """The minimal covering set of subscriptions this broker must
-        advertise to a neighbour: its local subscriptions plus those learned
-        from all *other* neighbours.  ``minimal_cover`` finds each
-        candidate's covers through a :class:`CoveringIndex` lookup, so
-        this is no longer the all-pairs ``covers()`` sweep it once was."""
-        subscriptions: List[Subscription] = list(self.local_engine.subscriptions())
-        for neighbour, engine in self.remote_engines.items():
-            if neighbour == exclude_neighbour:
-                continue
-            subscriptions.extend(engine.subscriptions())
-        return minimal_cover(subscriptions)
-
     # -- event handling ------------------------------------------------------
-
-    def deliver_local(self, event: Event) -> List[Subscription]:
-        """Match an event against local subscriptions and deliver."""
-        matched = self.local_engine.match(event)
-        for subscription in matched:
-            self.stats.events_delivered += 1
-            for callback in self._delivery_callbacks:
-                callback(subscription.subscriber, event, subscription)
-        return matched
 
     def interested_neighbours(self, event: Event, exclude: Optional[str] = None) -> List[str]:
         """Neighbours that have at least one remote subscription matching

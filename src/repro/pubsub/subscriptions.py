@@ -74,15 +74,6 @@ class Predicate:
             object.__setattr__(self, "_cached_hash", cached)
         return cached
 
-    def __getstate__(self) -> Dict[str, object]:
-        # String hashes are salted per process: never ship the memoized
-        # hash through pickle (the loading process recomputes its own).
-        return {
-            "attribute": self.attribute,
-            "operator": self.operator,
-            "value": self.value,
-        }
-
     def matches(self, event: Event) -> bool:
         """True if the event satisfies this predicate."""
         if not event.has(self.attribute):
@@ -137,18 +128,20 @@ class Predicate:
             if s_op is Operator.GE:
                 if o_op in (Operator.GE, Operator.EQ, Operator.GT):
                     return o_val >= s_val  # type: ignore[operator]
+            # A strict bound covers a closed one (or an equality) only
+            # from strictly inside: ``x > 5`` does not cover ``x >= 5``.
             if s_op is Operator.GT:
-                if o_op in (Operator.GT, Operator.GE):
+                if o_op is Operator.GT:
                     return o_val >= s_val  # type: ignore[operator]
-                if o_op is Operator.EQ:
+                if o_op in (Operator.GE, Operator.EQ):
                     return o_val > s_val  # type: ignore[operator]
             if s_op is Operator.LE:
                 if o_op in (Operator.LE, Operator.EQ, Operator.LT):
                     return o_val <= s_val  # type: ignore[operator]
             if s_op is Operator.LT:
-                if o_op in (Operator.LT, Operator.LE):
+                if o_op is Operator.LT:
                     return o_val <= s_val  # type: ignore[operator]
-                if o_op is Operator.EQ:
+                if o_op in (Operator.LE, Operator.EQ):
                     return o_val < s_val  # type: ignore[operator]
             # PREFIX/CONTAINS only match string values, so they cannot
             # cover an equality on a number or a bool (``5 == 5`` matches,
@@ -393,10 +386,7 @@ class PredicatePool:
     object graphs, and hot-path covering/equality checks reduce to integer
     and set-of-int comparisons.
 
-    Ids are process-local.  Pickled subscriptions drop their memoized
-    shape (``Subscription.__getstate__``) and re-intern lazily wherever
-    they are unpickled, so a subscription shipped to another process
-    stays correct.
+    Ids are process-local.
     Predicates with unhashable values cannot be interned; such
     subscriptions simply fall back to the uninterned slow paths.
     """
@@ -561,22 +551,6 @@ class Subscription:
             self, "predicates", PREDICATE_POOL.canonicalize(tuple(self.predicates))
         )
 
-    def __getstate__(self) -> Dict[str, object]:
-        # Pool ids and covering memos are process-local; pickles carry only
-        # the declared fields and re-intern lazily wherever they are loaded.
-        return {
-            "event_type": self.event_type,
-            "predicates": self.predicates,
-            "subscriber": self.subscriber,
-            "subscription_id": self.subscription_id,
-        }
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        # Re-intern against the *local* process pool so unpickled copies
-        # share pooled predicate instances like natively built ones.
-        state["predicates"] = PREDICATE_POOL.canonicalize(tuple(state["predicates"]))
-        self.__dict__.update(state)
-
     def interned_shape(self) -> Optional[SignatureShape]:
         """Cached shared :class:`SignatureShape` of this conjunction, or
         ``None`` when a predicate value is unhashable."""
@@ -677,51 +651,6 @@ class TopicSubscription:
 
     def matches_topic(self, topic: str) -> bool:
         return self.topic == topic
-
-
-class SubscriptionTable:
-    """A per-subscriber registry of active subscriptions."""
-
-    def __init__(self) -> None:
-        self._by_id: Dict[str, Subscription] = {}
-        self._by_subscriber: Dict[str, List[str]] = {}
-
-    def add(self, subscription: Subscription) -> None:
-        self._by_id[subscription.subscription_id] = subscription
-        self._by_subscriber.setdefault(subscription.subscriber, []).append(
-            subscription.subscription_id
-        )
-
-    def remove(self, subscription_id: str) -> Optional[Subscription]:
-        subscription = self._by_id.pop(subscription_id, None)
-        if subscription is None:
-            return None
-        ids = self._by_subscriber.get(subscription.subscriber, [])
-        if subscription_id in ids:
-            ids.remove(subscription_id)
-        return subscription
-
-    def get(self, subscription_id: str) -> Optional[Subscription]:
-        return self._by_id.get(subscription_id)
-
-    def for_subscriber(self, subscriber: str) -> List[Subscription]:
-        return [
-            self._by_id[sub_id]
-            for sub_id in self._by_subscriber.get(subscriber, [])
-            if sub_id in self._by_id
-        ]
-
-    def all(self) -> List[Subscription]:
-        return list(self._by_id.values())
-
-    def matching(self, event: Event) -> List[Subscription]:
-        return [sub for sub in self._by_id.values() if sub.matches(event)]
-
-    def __len__(self) -> int:
-        return len(self._by_id)
-
-    def __contains__(self, subscription_id: str) -> bool:
-        return subscription_id in self._by_id
 
 
 class _TypeBucket:

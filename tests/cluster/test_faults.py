@@ -128,9 +128,6 @@ class TestCrashSemantics:
     def test_mailbox_policy_validation(self):
         with pytest.raises(ValueError):
             BrokerCluster(mailbox_policy="vanish")
-        cluster = BrokerCluster()
-        with pytest.raises(ValueError):
-            cluster.add_broker("b0", mailbox_policy="vanish")
 
     def test_freeze_policy_serves_queue_after_recovery(self):
         cluster = BrokerCluster(service_rate=10.0, mailbox_policy="freeze")

@@ -1,10 +1,9 @@
 """Ingress merging and advertisement batching on the RoutingFabric.
 
 Covers the duplicate-advert no-op (a subscription with the same canonical
-signature as a live same-subscriber one never re-advertises), the opt-in
-covering merge (``merge_ingress=True``), promotion of merged subscriptions
-when their coverer retracts, and ``subscribe_many`` batch placement being
-observationally identical to a subscribe loop.
+signature as a live same-subscriber one never re-advertises), promotion of
+merged subscriptions when their twin retracts, and ``subscribe_many`` batch
+placement being observationally identical to a subscribe loop.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from repro.cluster.broker_cluster import BrokerCluster, build_cluster_topology
 from repro.cluster.routing import RoutingFabric
 from repro.pubsub.broker import Broker
 from repro.pubsub.events import Event
-from repro.pubsub.router import BrokerOverlay
 from repro.pubsub.subscriptions import (
     Operator,
     Predicate,
@@ -168,99 +166,67 @@ class TestDuplicateAdvertNoOp:
         assert fabric.routing_snapshot() == fabric.rebuilt_snapshot()
 
 
-class TestCoveringIngressMerge:
-    def test_covered_subscription_merges_when_enabled(self):
-        fabric = _line(3, merge_ingress=True, verify_repairs=True)
-        wide = _wide()
-        narrow = _sub("sports")
-        fabric.subscribe_at("b0", wide)
-        baseline = fabric.routing_snapshot()
-
-        outcome = fabric.subscribe_at("b0", narrow)
-        assert outcome.merged and outcome.hops == 0
-        assert fabric.routing_snapshot() == baseline
-        assert [
-            (home, coverer)
-            for home, _s, coverer in fabric.merged_subscriptions()
-        ] == [("b0", wide.subscription_id)]
-        # Still delivered locally.
-        matched = fabric.nodes["b0"].local_engine.match(_event("sports"))
-        assert narrow.subscription_id in {s.subscription_id for s in matched}
-
-    def test_covering_merge_requires_flag(self):
+class TestMergedTwins:
+    def test_covered_subscription_still_advertises(self):
+        # Only exact twins merge; a strictly covered subscription holds its
+        # own fabric state (pruned per edge by covering instead).
         fabric = _line(2)
         fabric.subscribe_at("b0", _wide())
         outcome = fabric.subscribe_at("b0", _sub("sports"))
         assert not outcome.merged
         assert fabric.merged_subscriptions() == []
 
-    def test_covering_merge_requires_same_subscriber(self):
-        fabric = _line(2, merge_ingress=True)
-        fabric.subscribe_at("b0", _wide(subscriber="u"))
-        outcome = fabric.subscribe_at("b0", _sub("sports", subscriber="v"))
-        assert not outcome.merged
-
-    def test_coverer_retraction_promotes_and_restores_routes(self):
-        fabric = _line(3, merge_ingress=True, verify_repairs=True)
-        wide = _wide()
-        narrow = _sub("sports")
-        fabric.subscribe_at("b0", wide)
-        fabric.subscribe_at("b0", narrow)
-
-        assert fabric.unsubscribe_at("b0", wide.subscription_id) is True
-        assert fabric.merged_subscriptions() == []
-        assert narrow.subscription_id in {
-            s.subscription_id for s in fabric.live_subscriptions()
-        }
-        assert fabric.routing_snapshot() == fabric.rebuilt_snapshot()
-        # Events matching the narrow subscription still route to b0;
-        # non-matching ones no longer do.
-        assert fabric.next_hops("b2", _event("sports")) == ["b1"]
-        assert fabric.next_hops("b2", _event("politics")) == []
-
     def test_promoted_child_may_remerge_under_sibling(self):
-        fabric = _line(2, merge_ingress=True, verify_repairs=True)
-        wide = _wide()
-        twin = _wide()  # same signature -> twin-merges under wide
-        narrow = _sub("sports")  # covering-merges under wide
-        fabric.subscribe_at("b0", wide)
+        fabric = _line(2, verify_repairs=True)
+        first = _sub("sports")
+        twin = _sub("sports")
+        third = _sub("sports")
+        fabric.subscribe_at("b0", first)
         fabric.subscribe_at("b0", twin)
-        fabric.subscribe_at("b0", narrow)
+        fabric.subscribe_at("b0", third)
         assert {coverer for _h, _s, coverer in fabric.merged_subscriptions()} == {
-            wide.subscription_id
+            first.subscription_id
         }
 
-        fabric.unsubscribe_at("b0", wide.subscription_id)
-        # The twin (first merge) promotes to advertised; the narrow one
+        fabric.unsubscribe_at("b0", first.subscription_id)
+        # The twin (first merge) promotes to advertised; the third
         # re-merges under the freshly promoted twin.
         merged = fabric.merged_subscriptions()
         assert [
             (s.subscription_id, coverer) for _h, s, coverer in merged
-        ] == [(narrow.subscription_id, twin.subscription_id)]
+        ] == [(third.subscription_id, twin.subscription_id)]
         assert fabric.routing_snapshot() == fabric.rebuilt_snapshot()
 
-    def test_delivery_identical_with_and_without_merging(self):
-        def build(merge):
-            overlay = BrokerOverlay(merge_ingress=merge)
-            for name in ("a", "b", "c"):
-                overlay.add_broker(name)
-            overlay.connect("a", "b")
-            overlay.connect("b", "c")
-            overlay.attach_client("alice", "a")
-            overlay.attach_client("pub", "c")
-            overlay.subscribe("alice", _wide(subscriber="alice"))
-            overlay.subscribe("alice", _sub("sports", subscriber="alice"))
-            overlay.subscribe("alice", _sub("sports", subscriber="alice"))
-            return overlay
-
-        merged_overlay, plain_overlay = build(True), build(False)
-        assert merged_overlay.fabric.merged_subscriptions() != []
-        for topic in ("sports", "politics"):
-            merged_report = merged_overlay.publish("pub", _event(topic))
-            plain_report = plain_overlay.publish("pub", _event(topic))
-            assert merged_report.deliveries == plain_report.deliveries
-            assert sorted(merged_report.subscribers) == sorted(plain_report.subscribers)
-            assert merged_report.brokers_visited == plain_report.brokers_visited
+    def test_merged_twin_delivers_like_brute_force(self):
+        cluster = BrokerCluster(link_latency=0.0)
+        for name in ("a", "b", "c"):
+            cluster.add_broker(name)
+        cluster.connect("a", "b")
+        cluster.connect("b", "c")
+        subscriptions = [
+            _wide(subscriber="alice"),
+            _sub("sports", subscriber="alice"),
+            _sub("sports", subscriber="alice"),
+        ]
+        for subscription in subscriptions:
+            cluster.subscribe("a", subscription)
+        assert len(cluster.fabric.merged_subscriptions()) == 1
+        delivered = []
+        cluster.on_delivery(
+            lambda broker, subscriber, event, subscription: delivered.append(
+                (event.attributes["topic"], subscription.subscription_id)
+            )
+        )
+        events = [_event("sports"), _event("politics")]
+        for event in events:
+            cluster.publish("c", event)
+        cluster.run()
+        assert sorted(delivered) == sorted(
+            (event.attributes["topic"], subscription.subscription_id)
+            for event in events
+            for subscription in subscriptions
+            if subscription.matches(event)
+        )
 
 
 class TestSubscribeMany:
@@ -274,10 +240,9 @@ class TestSubscribeMany:
             _sub("finance", subscriber="u4"),
         ]
 
-    @pytest.mark.parametrize("merge", [False, True])
-    def test_batch_equals_loop(self, merge):
-        batch_fabric = _line(4, merge_ingress=merge, verify_repairs=True)
-        loop_fabric = _line(4, merge_ingress=merge)
+    def test_batch_equals_loop(self):
+        batch_fabric = _line(4, verify_repairs=True)
+        loop_fabric = _line(4)
         subs = self._mixed_batch()
 
         batch_outcomes = batch_fabric.subscribe_many_at("b0", subs)
@@ -388,24 +353,10 @@ class TestSubscribeMany:
         assert fabric.next_hops("d", _event("sports")) == ["c"]
         assert fabric.next_hops("a", _event("finance")) == ["b"]
 
-    def test_overlay_wrapper(self):
-        overlay = BrokerOverlay(merge_ingress=True)
-        overlay.add_broker("a")
-        overlay.add_broker("b")
-        overlay.connect("a", "b")
-        overlay.attach_client("alice", "a")
-        overlay.subscribe_many(
-            "alice",
-            [_wide(subscriber="alice"), _sub("sports", subscriber="alice")],
-        )
-        assert len(overlay.fabric.merged_subscriptions()) == 1
-        report = overlay.publish("alice", _event("sports"))
-        assert report.deliveries == 2
-
     def test_cluster_wrapper(self):
-        cluster = BrokerCluster(merge_ingress=True)
+        cluster = BrokerCluster()
         build_cluster_topology("line", 3, cluster)
-        subs = [_wide(subscriber="u"), _sub("sports", subscriber="u")]
+        subs = [_sub("sports", subscriber="u"), _sub("sports", subscriber="u")]
         outcomes = cluster.subscribe_many("b0", subs)
         assert [o.merged for o in outcomes] == [False, True]
         assert cluster.fabric.routing_snapshot() == cluster.fabric.rebuilt_snapshot()

@@ -100,19 +100,23 @@ class TestRoutedDelivery:
         assert cluster.metrics.histogram("cluster.delivery_hops").samples() == (0.0,)
 
     def test_forwarded_events_queue_like_publications(self):
-        # The remote broker is slow: the forwarded event's e2e delay includes
-        # its queueing/service time, not just link latency.
-        cluster = BrokerCluster(service_rate=100.0, link_latency=0.01)
-        cluster.add_broker("fast")
-        cluster.add_broker("slow", service_rate=2.0)
-        cluster.connect("fast", "slow")
-        cluster.subscribe("slow", _topic_sub("t", subscriber="alice"))
-        cluster.publish_at(0.0, "fast", _event("t"))
+        # The remote broker is busy with its own publications: the forwarded
+        # event's e2e delay includes its queueing/service time there, not
+        # just link latency.
+        cluster = BrokerCluster(service_rate=2.0, link_latency=0.01)
+        cluster.add_broker("ingress")
+        cluster.add_broker("busy")
+        cluster.connect("ingress", "busy")
+        cluster.subscribe("busy", _topic_sub("t", subscriber="alice"))
+        cluster.publish_at(0.0, "busy", _event("other"))
+        cluster.publish_at(0.0, "busy", _event("other"))
+        cluster.publish_at(0.0, "ingress", _event("t"))
         cluster.run()
         (delay,) = cluster.metrics.histogram("cluster.e2e_delay").samples()
-        # 0.01 service at fast + 0.01 link + 0.5 service at slow.
-        assert delay == pytest.approx(0.52)
-        assert cluster.stats_by_broker()["slow"]["forwards_received"] == 1
+        # 0.5 service at ingress + 0.01 link + 0.49 queued behind busy's
+        # own two events + 0.5 service at busy.
+        assert delay == pytest.approx(1.5)
+        assert cluster.stats_by_broker()["busy"]["forwards_received"] == 1
 
     def test_per_link_latency_override(self):
         cluster = BrokerCluster(service_rate=1000.0, link_latency=0.001)

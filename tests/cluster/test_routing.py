@@ -55,15 +55,14 @@ class TestTopology:
         assert fabric.node_names() == ["a", "b", "c"]
         assert len(fabric) == 3
 
-    def test_client_attachment(self):
+    def test_unknown_home_rejected(self):
         fabric = _fabric("a")
         with pytest.raises(KeyError):
-            fabric.attach_client("alice", "ghost")
-        fabric.attach_client("alice", "a")
-        assert fabric.home_broker("alice") == "a"
-        assert fabric.home_broker("ghost") is None
+            fabric.subscribe_at("ghost", _sub("sports"))
         with pytest.raises(KeyError):
-            fabric.require_home("ghost")
+            fabric.subscribe_many_at("ghost", [_sub("sports")])
+        assert fabric.unsubscribe_at("ghost", "nope") is False
+        assert fabric.unsubscribe_many_at("ghost", ["nope"]) == [False]
 
 
 class TestPropagation:
@@ -77,10 +76,12 @@ class TestPropagation:
         assert fabric.next_hops("c", _event("sports")) == ["b"]
         assert fabric.next_hops("b", _event("sports"), came_from="a") == []
 
-    def test_flood_next_hops_ignore_content(self):
+    def test_next_hops_skip_arrival_link(self):
         fabric = _fabric("a", "b", "c", edges=[("a", "b"), ("a", "c")])
-        assert fabric.next_hops("a", _event("anything"), flood=True) == ["b", "c"]
-        assert fabric.next_hops("a", _event("anything"), came_from="b", flood=True) == ["c"]
+        fabric.subscribe_at("b", _sub("anything"))
+        fabric.subscribe_at("c", _sub("anything"))
+        assert fabric.next_hops("a", _event("anything")) == ["b", "c"]
+        assert fabric.next_hops("a", _event("anything"), came_from="b") == ["c"]
 
     def test_covering_prunes(self):
         fabric = _fabric("a", "b", edges=[("a", "b")])
@@ -124,10 +125,6 @@ class TestRetraction:
         assert fabric.unsubscribe_at("a", "ghost") is False
         assert fabric.unsubscribe_at("a", subscription.subscription_id) is True
         assert fabric.total_routing_state() == 0
-
-    def test_client_unsubscribe_requires_attachment(self):
-        fabric = _fabric("a")
-        assert fabric.unsubscribe("ghost", "sub-x") is False
 
     def test_repair_readvertises_covered_subscription(self):
         fabric = _fabric("a", "b", "c", edges=[("a", "b"), ("b", "c")])

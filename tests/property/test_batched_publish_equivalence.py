@@ -185,19 +185,6 @@ class TestBatchedEquivalence:
         delivered = _run(cluster, anchored, batched=True)
         assert delivered == _oracle_sets(subscriptions, events, removed)
 
-    def test_merge_ingress(self):
-        rng = SeededRNG(83)
-        subscriptions, events = _workload(rng, num_subs=160, num_events=60)
-        cluster = _cluster(merge_ingress=True)
-        names = build_cluster_topology("tree", 5, cluster)
-        _place(cluster, names, rng.fork("place"), subscriptions)
-        schedule = _publish_schedule(rng, events, 10)
-        anchored = [
-            (at, names[idx % len(names)], chunk) for (at, idx, chunk) in schedule
-        ]
-        delivered = _run(cluster, anchored, batched=True)
-        assert delivered == _oracle_sets(subscriptions, events)
-
 
 class TestMidBatchMutation:
     def test_retraction_between_match_and_forward_invalidates_route_cache(self):
@@ -252,9 +239,8 @@ class TestMidBatchMutation:
 
 
 class TestBatchedRetractionSnapshot:
-    @pytest.mark.parametrize("merge_ingress", [False, True])
     @pytest.mark.parametrize("seed", [5, 31])
-    def test_unsubscribe_many_matches_retract_loop(self, seed, merge_ingress):
+    def test_unsubscribe_many_matches_retract_loop(self, seed):
         # One shared workload: subscription ids are auto-generated, so
         # both fabrics must see the *same* Subscription objects placed in
         # the same issue order for their states to be comparable.
@@ -278,9 +264,7 @@ class TestBatchedRetractionSnapshot:
             victims.setdefault(home, []).append(subscription.subscription_id)
 
         def build():
-            fabric = RoutingFabric(
-                verify_repairs=True, merge_ingress=merge_ingress
-            )
+            fabric = RoutingFabric(verify_repairs=True)
             for name in homes:
                 fabric.add_node(name, Broker(name))
             fabric.connect("a", "b")

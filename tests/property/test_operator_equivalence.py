@@ -12,8 +12,10 @@ every predicate value type, its own case:
   ``matches_any``, ``matches_any_cached``, ``match_subscribers``,
   ``match_batch``, ``match_batch_cached``) before and after removals
   equals :class:`NaiveMatchingEngine`, event by event;
-* ``covers`` is sound on the case's population, and ``any_covering``
-  agrees with the oracle;
+* ``covers`` is sound on the case's population plus every ordering
+  operator at each of the case's values (a cover and its target that share
+  a bound, where open and closed ends differ), and ``any_covering`` agrees
+  with the oracle;
 * a routed :class:`BrokerCluster` on each topology delivers exactly the
   oracle's match sets, so covering-based forwarding loses nothing.
 
@@ -100,6 +102,23 @@ def _population(rng, op, kind, count, subscribers=11):
     return subscriptions
 
 
+ORDERING_OPERATORS = (Operator.EQ, Operator.GT, Operator.GE, Operator.LT, Operator.LE)
+
+
+def _shared_bounds(kind):
+    """One single-predicate subscription per ordering operator and value,
+    with an event carrying exactly that value: ``x > 5`` next to
+    ``x >= 5`` and ``x = 5``."""
+    values = VALUES[kind] if kind is not None else []
+    subscriptions = [
+        Subscription(event_type="news.story", predicates=(Predicate("x", op, value),))
+        for value in values
+        for op in ORDERING_OPERATORS
+    ]
+    events = [Event(event_type="news.story", attributes={"x": value}) for value in values]
+    return subscriptions, events
+
+
 def _events(rng, count):
     events = []
     for _ in range(count):
@@ -162,6 +181,9 @@ class TestCoveringOperatorGrid:
         rng = _rng("covering", op.value, kind)
         subscriptions = _population(rng, op, kind, 40)
         events = _events(rng, 60)
+        bounded, bound_events = _shared_bounds(kind)
+        subscriptions += bounded
+        events += bound_events
         proper_covers = 0
         for broad in subscriptions:
             for narrow in subscriptions:

@@ -7,10 +7,10 @@ Two oracles pin the PR-6 scale work:
   observationally identical to :class:`NaiveMatchingEngine` across
   randomized churn over a *shared* predicate universe — the regime where
   interning actually shares state between subscriptions;
-* an ingress-merged fabric must keep ``routing_snapshot()`` equal to its
+* a twin-merging fabric must keep ``routing_snapshot()`` equal to its
   from-scratch ``rebuilt_snapshot()`` through covering-heavy subscribe
-  and retraction storms, and must deliver exactly what an unmerged
-  overlay delivers.
+  and retraction storms, place a ``subscribe_many`` batch exactly as a
+  subscribe loop does, and deliver exactly the brute-force match set.
 
 All randomness is driven by :class:`~repro.sim.rng.SeededRNG`.
 """
@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.broker_cluster import BrokerCluster
 from repro.pubsub.events import Event
 from repro.pubsub.matching import MatchingEngine, NaiveMatchingEngine
-from repro.pubsub.router import BrokerOverlay
 from repro.pubsub.subscriptions import Operator, Predicate, Subscription
 from repro.sim.rng import SeededRNG
 
@@ -145,23 +145,29 @@ class TestEngineChurnEquivalence:
 
 
 class TestIngressMergeEquivalence:
-    def _build_overlay(self, merge):
-        overlay = BrokerOverlay(merge_ingress=merge)
+    def _build_cluster(self):
+        cluster = BrokerCluster(link_latency=0.0)
         for name in ("a", "b", "c", "d"):
-            overlay.add_broker(name)
-        overlay.connect("a", "b")
-        overlay.connect("b", "c")
-        overlay.connect("b", "d")
-        for index, client in enumerate(SUBSCRIBERS):
-            overlay.attach_client(client, ("a", "c", "d")[index % 3])
-        overlay.attach_client("pub-a", "a")
-        overlay.attach_client("pub-d", "d")
-        return overlay
+            cluster.add_broker(name)
+        cluster.connect("a", "b")
+        cluster.connect("b", "c")
+        cluster.connect("b", "d")
+        cluster.delivered = []
+        cluster.on_delivery(
+            lambda _broker, subscriber, _event, subscription: cluster.delivered.append(
+                (subscriber, subscription.subscription_id)
+            )
+        )
+        return cluster
+
+    @staticmethod
+    def _home(client):
+        return ("a", "c", "d")[SUBSCRIBERS.index(client) % 3]
 
     def _covering_heavy_subscription(
         self, rng, universe, subscription_id=None, subscriber=None
     ):
-        """Few subscribers x few shapes -> constant twin/covering merges."""
+        """Few subscribers x few shapes -> constant twin merges and covers."""
         if subscriber is None:
             subscriber = rng.choice(SUBSCRIBERS[:3])
         roll = rng.random()
@@ -181,20 +187,32 @@ class TestIngressMergeEquivalence:
             **kwargs,
         )
 
+    @staticmethod
+    def _deliveries(cluster, broker, event):
+        cluster.delivered.clear()
+        before = {name: p.stats.events_processed for name, p in cluster.brokers.items()}
+        cluster.publish(broker, event)
+        cluster.run()
+        visited = sorted(
+            name for name, p in cluster.brokers.items()
+            if p.stats.events_processed > before[name]
+        )
+        return sorted(cluster.delivered), visited
+
     @pytest.mark.parametrize("seed", [2, 17, 61])
-    def test_merged_fabric_matches_unmerged_delivery_and_rebuild(self, seed):
+    def test_twin_merged_fabric_matches_rebuild_and_brute_force(self, seed):
         rng = SeededRNG(seed)
         universe = _predicate_universe()
-        merged = self._build_overlay(True)
-        plain = self._build_overlay(False)
+        batched = self._build_cluster()
+        looped = self._build_cluster()
         live = {}  # subscription id -> (client, definition)
 
         for step in range(60):
             roll = rng.random()
             if roll < 0.40 or not live:
                 sub = self._covering_heavy_subscription(rng, universe)
-                merged.subscribe(sub.subscriber, sub)
-                plain.subscribe(sub.subscriber, sub)
+                for cluster in (batched, looped):
+                    cluster.subscribe(self._home(sub.subscriber), sub)
                 live[sub.subscription_id] = (sub.subscriber, sub)
             elif roll < 0.55:
                 # Batch subscribe through one client.
@@ -205,17 +223,17 @@ class TestIngressMergeEquivalence:
                 ]
                 for sub in batch:
                     live[sub.subscription_id] = (client, sub)
-                merged.subscribe_many(client, batch)
+                batched.subscribe_many(self._home(client), batch)
                 for sub in batch:
-                    plain.subscribe(client, sub)
+                    looped.subscribe(self._home(client), sub)
             elif roll < 0.70:
                 # Retraction storm: drop a handful at once (promotions).
                 victims = rng.sample(list(live), min(3, len(live)))
                 for subscription_id in victims:
                     client, _sub = live.pop(subscription_id)
-                    assert merged.unsubscribe(client, subscription_id) == plain.unsubscribe(
-                        client, subscription_id
-                    )
+                    home = self._home(client)
+                    assert batched.unsubscribe(home, subscription_id) is True
+                    assert looped.unsubscribe(home, subscription_id) is True
             else:
                 # Re-issue a live subscription (same id, maybe new shape).
                 subscription_id = rng.choice(list(live))
@@ -223,34 +241,28 @@ class TestIngressMergeEquivalence:
                 replacement = self._covering_heavy_subscription(
                     rng, universe, subscription_id=subscription_id, subscriber=client
                 )
-                merged.subscribe(client, replacement)
-                plain.subscribe(client, replacement)
+                for cluster in (batched, looped):
+                    cluster.subscribe(self._home(client), replacement)
                 live[subscription_id] = (client, replacement)
 
-            fabric = merged.fabric
+            fabric = batched.fabric
             assert fabric.routing_snapshot() == fabric.rebuilt_snapshot()
-            advertised = len(fabric.homed_subscriptions())
-            merged_count = len(fabric.merged_subscriptions())
-            assert advertised + merged_count == len(live)
-            # The plain overlay still twin-merges exact duplicates (the
-            # always-on no-op), but never covering-merges.
-            assert len(plain.fabric.homed_subscriptions()) + len(
-                plain.fabric.merged_subscriptions()
+            assert fabric.routing_snapshot() == looped.fabric.routing_snapshot()
+            assert len(fabric.homed_subscriptions()) + len(
+                fabric.merged_subscriptions()
             ) == len(live)
-            assert len(fabric.homed_subscriptions()) <= len(
-                plain.fabric.homed_subscriptions()
-            )
 
         # Merging must have actually fired for this workload to mean much.
-        assert merged.fabric.metrics.counter("overlay.adverts_skipped").value > 0
+        assert batched.fabric.metrics.counter("overlay.subscriptions_merged").value > 0
 
         for _probe in range(12):
             event = _random_event(rng)
-            for publisher in ("pub-a", "pub-d"):
-                merged_report = merged.publish(publisher, event)
-                plain_report = plain.publish(publisher, event)
-                assert merged_report.deliveries == plain_report.deliveries
-                assert sorted(merged_report.subscribers) == sorted(
-                    plain_report.subscribers
-                )
-                assert merged_report.brokers_visited == plain_report.brokers_visited
+            expected = sorted(
+                (client, subscription_id)
+                for subscription_id, (client, sub) in live.items()
+                if sub.matches(event)
+            )
+            for publisher in ("a", "d"):
+                delivered, visited = self._deliveries(batched, publisher, event)
+                assert delivered == expected
+                assert self._deliveries(looped, publisher, event) == (delivered, visited)

@@ -43,7 +43,7 @@ class TestSubscriptionAccounting:
         assert broker.stats.subscriptions_received == 1
         assert broker.local_subscription_count == 1
         beta = Event(event_type="news.story", attributes={"topic": "beta"})
-        assert len(broker.deliver_local(beta)) == 1
+        assert len(broker.local_engine.match(beta)) == 1
 
     def test_resubscribe_after_unsubscribe_counts_again(self):
         broker = Broker("b0")

@@ -1,7 +1,15 @@
-"""Tests for the broker overlay, the Pastry-like DHT and SCRIBE topics."""
+"""Tests for content-based routing between brokers, the Pastry-like DHT
+and SCRIBE topics.
+
+The routing cases drive a zero-latency :class:`BrokerCluster`: an event
+published at a broker is served there and forwarded only toward
+neighbours whose routing tables hold a matching subscription, so the
+brokers that serve it are the ones it visits.
+"""
 
 import pytest
 
+from repro.cluster.broker_cluster import BrokerCluster, build_cluster_topology
 from repro.pubsub.dht import (
     PastryOverlay,
     circular_distance,
@@ -10,12 +18,6 @@ from repro.pubsub.dht import (
     shared_prefix_length,
 )
 from repro.pubsub.events import Event
-from repro.pubsub.router import (
-    BrokerOverlay,
-    build_line_overlay,
-    build_star_overlay,
-    build_tree_overlay,
-)
 from repro.pubsub.subscriptions import Operator, Predicate, Subscription, topic_subscription
 from repro.pubsub.topics import ScribeSystem
 
@@ -24,109 +26,142 @@ def news(topic, priority=1):
     return Event(event_type="news.story", attributes={"topic": topic, "priority": priority})
 
 
+class Routed:
+    """A zero-latency cluster that reports, per publication, who received
+    the event and which brokers served it."""
+
+    def __init__(self, topology=None, num_brokers=0):
+        self.cluster = BrokerCluster(link_latency=0.0)
+        if topology is not None:
+            build_cluster_topology(topology, num_brokers, self.cluster)
+        self._received = []
+        self.cluster.on_delivery(
+            lambda broker, subscriber, event, subscription: self._received.append(subscriber)
+        )
+
+    def publish(self, broker, event):
+        """``(subscribers delivered to, sorted names of brokers visited)``."""
+        brokers = self.cluster.brokers
+        before = {name: process.stats.events_processed for name, process in brokers.items()}
+        self._received = []
+        self.cluster.publish(broker, event)
+        self.cluster.run()
+        visited = sorted(
+            name for name, process in brokers.items()
+            if process.stats.events_processed > before[name]
+        )
+        return self._received, visited
+
+
 class TestLateLinks:
     def test_connect_after_subscribe_learns_routes(self):
-        overlay = BrokerOverlay()
-        overlay.add_broker("a")
-        overlay.add_broker("b")
-        overlay.attach_client("alice", "a")
-        overlay.attach_client("pub", "b")
-        overlay.subscribe(
-            "alice", topic_subscription("news.story", "topic", "sports", subscriber="alice")
+        routed = Routed()
+        routed.cluster.add_broker("a")
+        routed.cluster.add_broker("b")
+        routed.cluster.subscribe(
+            "a", topic_subscription("news.story", "topic", "sports", subscriber="alice")
         )
-        overlay.connect("a", "b")
-        report = overlay.publish("pub", news("sports"))
-        assert report.deliveries == 1
-        assert "alice" in report.subscribers
+        routed.cluster.connect("a", "b")
+        received, _visited = routed.publish("b", news("sports"))
+        assert received == ["alice"]
 
 
 class TestOverlayTopology:
     def test_connect_requires_existing_brokers(self):
-        overlay = BrokerOverlay()
-        overlay.add_broker("a")
+        cluster = BrokerCluster()
+        cluster.add_broker("a")
         with pytest.raises(KeyError):
-            overlay.connect("a", "missing")
+            cluster.connect("a", "missing")
 
     def test_duplicate_broker_rejected(self):
-        overlay = BrokerOverlay()
-        overlay.add_broker("a")
+        cluster = BrokerCluster()
+        cluster.add_broker("a")
         with pytest.raises(ValueError):
-            overlay.add_broker("a")
+            cluster.add_broker("a")
 
     def test_self_connection_rejected(self):
-        overlay = BrokerOverlay()
-        overlay.add_broker("a")
+        cluster = BrokerCluster()
+        cluster.add_broker("a")
         with pytest.raises(ValueError):
-            overlay.connect("a", "a")
+            cluster.connect("a", "a")
 
     def test_cycles_rejected(self):
-        overlay = build_line_overlay(3)
+        cluster = BrokerCluster()
+        build_cluster_topology("line", 3, cluster)
         with pytest.raises(ValueError):
-            overlay.connect("b0", "b2")
+            cluster.connect("b0", "b2")
 
     def test_builders_produce_expected_sizes(self):
-        assert len(build_line_overlay(4).brokers) == 4
-        assert len(build_star_overlay(5).brokers) == 6
-        assert len(build_tree_overlay(3, 2).brokers) == 7
+        for topology, size in (("line", 4), ("star", 6), ("tree", 7)):
+            cluster = BrokerCluster()
+            build_cluster_topology(topology, size, cluster)
+            assert len(cluster.brokers) == size
+            assert len(cluster.fabric.edges()) == size - 1
         with pytest.raises(ValueError):
-            build_tree_overlay(0, 2)
+            build_cluster_topology("tree", 0, BrokerCluster())
 
 
 class TestContentRouting:
     @pytest.fixture
     def overlay(self):
-        overlay = build_line_overlay(4)
-        overlay.attach_client("pub", "b0")
-        overlay.attach_client("alice", "b3")
-        overlay.attach_client("bob", "b1")
-        return overlay
+        """A line b0 - b1 - b2 - b3; events are published at b0, alice
+        subscribes at b3 and bob at b1."""
+        return Routed("line", 4)
 
     def test_subscription_reaches_subscriber_across_overlay(self, overlay):
-        overlay.subscribe("alice", topic_subscription("news.story", "topic", "sports", subscriber="alice"))
-        report = overlay.publish("pub", news("sports"))
-        assert "alice" in report.subscribers
-        assert report.deliveries == 1
+        overlay.cluster.subscribe("b3", topic_subscription("news.story", "topic", "sports", subscriber="alice"))
+        received, visited = overlay.publish("b0", news("sports"))
+        assert received == ["alice"]
         # The event had to traverse the whole chain to reach b3.
-        assert "b3" in report.brokers_visited
+        assert visited == ["b0", "b1", "b2", "b3"]
 
     def test_unmatched_event_stays_local(self, overlay):
-        overlay.subscribe("alice", topic_subscription("news.story", "topic", "sports", subscriber="alice"))
-        report = overlay.publish("pub", news("weather"))
-        assert report.deliveries == 0
-        assert report.brokers_visited == ["b0"]
+        overlay.cluster.subscribe("b3", topic_subscription("news.story", "topic", "sports", subscriber="alice"))
+        received, visited = overlay.publish("b0", news("weather"))
+        assert received == []
+        assert visited == ["b0"]
 
-    def test_flooding_visits_every_broker(self, overlay):
-        report = overlay.publish("pub", news("anything"), flood=True)
-        assert set(report.brokers_visited) == {"b0", "b1", "b2", "b3"}
+    def test_event_matching_at_every_broker_visits_every_broker(self, overlay):
+        for name in ("b0", "b1", "b2", "b3"):
+            overlay.cluster.subscribe(name, topic_subscription(
+                "news.story", "topic", "anything", subscriber=f"at-{name}"
+            ))
+        received, visited = overlay.publish("b0", news("anything"))
+        assert sorted(received) == ["at-b0", "at-b1", "at-b2", "at-b3"]
+        assert visited == ["b0", "b1", "b2", "b3"]
 
     def test_routing_visits_fewer_brokers_than_flooding(self, overlay):
-        overlay.subscribe("bob", topic_subscription("news.story", "topic", "local", subscriber="bob"))
-        routed = overlay.publish("pub", news("local"))
-        flooded = overlay.publish("pub", news("local"), flood=True)
-        assert routed.deliveries == flooded.deliveries == 1
-        assert len(routed.brokers_visited) <= len(flooded.brokers_visited)
+        # Flooding would visit all four brokers; routing stops at bob's b1.
+        overlay.cluster.subscribe("b1", topic_subscription("news.story", "topic", "local", subscriber="bob"))
+        received, visited = overlay.publish("b0", news("local"))
+        assert received == ["bob"]
+        assert visited == ["b0", "b1"]
 
     def test_routing_and_flooding_deliver_same_events(self):
-        overlay = build_tree_overlay(3, 2)
-        names = overlay.broker_names()
-        overlay.attach_client("pub", names[0])
-        for index, name in enumerate(names):
+        # Flooding delivers every subscription that matches: the brute-force
+        # match over all of them.
+        routed = Routed("tree", 7)
+        subscriptions = []
+        for index, name in enumerate(sorted(routed.cluster.brokers)):
             client = f"c{index}"
-            overlay.attach_client(client, name)
-            overlay.subscribe(client, topic_subscription("news.story", "topic", f"t{index % 3}", subscriber=client))
+            subscription = topic_subscription(
+                "news.story", "topic", f"t{index % 3}", subscriber=client
+            )
+            routed.cluster.subscribe(name, subscription)
+            subscriptions.append(subscription)
         for topic in ("t0", "t1", "t2", "none"):
-            routed = overlay.publish("pub", news(topic))
-            flooded = overlay.publish("pub", news(topic), flood=True)
-            assert sorted(routed.subscribers) == sorted(flooded.subscribers)
+            received, _visited = routed.publish("b0", news(topic))
+            flooded = [s.subscriber for s in subscriptions if s.matches(news(topic))]
+            assert sorted(received) == sorted(flooded)
 
     def test_unsubscribe_removes_routing_state(self, overlay):
         subscription = topic_subscription("news.story", "topic", "sports", subscriber="alice")
-        overlay.subscribe("alice", subscription)
-        assert overlay.total_routing_state() > 0
-        assert overlay.unsubscribe("alice", subscription.subscription_id) is True
-        assert overlay.total_routing_state() == 0
-        report = overlay.publish("pub", news("sports"))
-        assert report.deliveries == 0
+        overlay.cluster.subscribe("b3", subscription)
+        assert overlay.cluster.total_routing_state() > 0
+        assert overlay.cluster.unsubscribe("b3", subscription.subscription_id) is True
+        assert overlay.cluster.total_routing_state() == 0
+        received, _visited = overlay.publish("b0", news("sports"))
+        assert received == []
 
     def test_covering_prunes_routing_state(self, overlay):
         broad = Subscription(
@@ -139,31 +174,51 @@ class TestContentRouting:
             predicates=(Predicate("priority", Operator.GE, 5),),
             subscriber="alice",
         )
-        overlay.subscribe("alice", broad)
-        state_after_broad = overlay.total_routing_state()
-        overlay.subscribe("alice", narrow)
+        overlay.cluster.subscribe("b3", broad)
+        state_after_broad = overlay.cluster.total_routing_state()
+        overlay.cluster.subscribe("b3", narrow)
         # The narrow subscription is covered by the broad one on every remote
         # broker, so routing state does not grow.
-        assert overlay.total_routing_state() == state_after_broad
-        assert overlay.metrics.counter("overlay.subscription_pruned").value > 0
+        assert overlay.cluster.total_routing_state() == state_after_broad
+        assert overlay.cluster.metrics.counter("overlay.subscription_pruned").value > 0
 
     def test_string_cover_does_not_prune_numeric_equality_route(self, overlay):
         """A CONTAINS subscription must not hide a numeric equality one on
         the same attribute (regression: ``covers`` compared ``str(value)``,
         so the equality route was pruned and its events were lost)."""
-        overlay.subscribe("alice", Subscription(
+        overlay.cluster.subscribe("b3", Subscription(
             event_type="news.story",
             predicates=(Predicate("priority", Operator.CONTAINS, "5"),),
             subscriber="alice",
         ))
-        overlay.subscribe("alice", Subscription(
+        overlay.cluster.subscribe("b3", Subscription(
             event_type="news.story",
             predicates=(Predicate("priority", Operator.EQ, 5),),
             subscriber="alice",
         ))
-        report = overlay.publish("pub", news("any", priority=5))
-        assert report.deliveries == 1
-        assert "b3" in report.brokers_visited
+        received, visited = overlay.publish("b0", news("any", priority=5))
+        assert received == ["alice"]
+        assert "b3" in visited
+
+    def test_strict_cover_does_not_prune_closed_bound_route(self):
+        """``priority > 5`` does not cover ``priority >= 5``: the event
+        ``priority = 5`` matches bob's subscription only (regression:
+        ``covers`` compared ``o_val >= s_val`` for every ordering pair, so
+        bob's route was pruned behind alice's and his event was lost)."""
+        routed = Routed("line", 3)
+        routed.cluster.subscribe("b2", Subscription(
+            event_type="news.story",
+            predicates=(Predicate("priority", Operator.GT, 5),),
+            subscriber="alice",
+        ))
+        routed.cluster.subscribe("b2", Subscription(
+            event_type="news.story",
+            predicates=(Predicate("priority", Operator.GE, 5),),
+            subscriber="bob",
+        ))
+        received, visited = routed.publish("b0", news("any", priority=5))
+        assert received == ["bob"]
+        assert visited == ["b0", "b1", "b2"]
 
     def test_unsubscribe_restores_covered_routes(self, overlay):
         """Removing a covering subscription must re-advertise the routes of
@@ -179,17 +234,16 @@ class TestContentRouting:
             predicates=(Predicate("priority", Operator.GE, 5),),
             subscriber="alice",
         )
-        overlay.subscribe("alice", broad)
-        overlay.subscribe("alice", narrow)  # pruned upstream (broad covers it)
-        assert overlay.unsubscribe("alice", broad.subscription_id) is True
+        overlay.cluster.subscribe("b3", broad)
+        overlay.cluster.subscribe("b3", narrow)  # pruned upstream (broad covers it)
+        assert overlay.cluster.unsubscribe("b3", broad.subscription_id) is True
         # The narrow subscription must now have its own routes: an event
         # matching it still reaches alice's home broker b3 from b0.
-        report = overlay.publish("pub", news("sports", priority=7))
-        assert report.deliveries == 1
-        assert report.subscribers == ["alice"]
+        received, _visited = overlay.publish("b0", news("sports", priority=7))
+        assert received == ["alice"]
         # And the broad subscription is truly gone.
-        low = overlay.publish("pub", news("sports", priority=2))
-        assert low.deliveries == 0
+        low, _visited = overlay.publish("b0", news("sports", priority=2))
+        assert low == []
 
     def test_resubscribe_narrower_definition_drops_stale_route(self, overlay):
         """Re-issuing a subscription id with a changed definition retracts
@@ -199,13 +253,13 @@ class TestContentRouting:
             predicates=(Predicate("topic", Operator.EQ, "sports"),),
             subscriber="alice",
         )
-        overlay.subscribe("alice", keeper)
+        overlay.cluster.subscribe("b3", keeper)
         changing = Subscription(
             event_type="news.story",
             predicates=(Predicate("topic", Operator.EQ, "weather"),),
             subscriber="alice",
         )
-        overlay.subscribe("alice", changing)
+        overlay.cluster.subscribe("b3", changing)
         # Re-issue the same id narrowed to sports+priority: covered by
         # keeper, so no new routing state is needed anywhere...
         narrowed = Subscription(
@@ -217,42 +271,41 @@ class TestContentRouting:
             subscriber="alice",
             subscription_id=changing.subscription_id,
         )
-        overlay.subscribe("alice", narrowed)
+        overlay.cluster.subscribe("b3", narrowed)
         # ...and the old weather route must be gone: a weather event no
         # longer leaves the origin broker.
-        report = overlay.publish("pub", news("weather"))
-        assert report.deliveries == 0
-        assert report.brokers_visited == ["b0"]
+        received, visited = overlay.publish("b0", news("weather"))
+        assert received == []
+        assert visited == ["b0"]
 
     def test_resubscribe_same_definition_is_stable(self, overlay):
         subscription = topic_subscription(
             "news.story", "topic", "sports", subscriber="alice"
         )
-        overlay.subscribe("alice", subscription)
-        state = overlay.total_routing_state()
-        overlay.subscribe("alice", subscription)  # identical re-issue
-        assert overlay.total_routing_state() == state
-        report = overlay.publish("pub", news("sports"))
-        assert report.deliveries == 1
-        # Re-issuing through the overlay must not double-count the home
+        overlay.cluster.subscribe("b3", subscription)
+        state = overlay.cluster.total_routing_state()
+        overlay.cluster.subscribe("b3", subscription)  # identical re-issue
+        assert overlay.cluster.total_routing_state() == state
+        received, _visited = overlay.publish("b0", news("sports"))
+        assert received == ["alice"]
+        # Re-issuing through the fabric must not double-count the home
         # broker's distinct-subscription stat (pinned in PR 2 for the
         # direct subscribe_local path, preserved across the fabric).
-        assert overlay.brokers["b3"].stats.subscriptions_received == 1
+        assert overlay.cluster.routing_stats_by_broker()["b3"]["subscriptions_received"] == 1
 
-    def test_unknown_clients_raise(self, overlay):
+    def test_unknown_brokers_raise(self, overlay):
         with pytest.raises(KeyError):
-            overlay.subscribe("ghost", topic_subscription("news.story", "topic", "x"))
+            overlay.cluster.subscribe("ghost", topic_subscription("news.story", "topic", "x"))
         with pytest.raises(KeyError):
-            overlay.publish("ghost", news("x"))
-        with pytest.raises(KeyError):
-            overlay.attach_client("x", "missing-broker")
+            overlay.cluster.publish("ghost", news("x"))
 
     def test_stats_by_broker(self, overlay):
-        overlay.subscribe("alice", topic_subscription("news.story", "topic", "sports", subscriber="alice"))
-        overlay.publish("pub", news("sports"))
-        stats = overlay.stats_by_broker()
-        assert stats["b0"]["events_published"] == 1
-        assert stats["b3"]["events_delivered"] == 1
+        overlay.cluster.subscribe("b3", topic_subscription("news.story", "topic", "sports", subscriber="alice"))
+        overlay.publish("b0", news("sports"))
+        stats = overlay.cluster.stats_by_broker()
+        assert stats["b0"]["events_enqueued"] == 1
+        assert stats["b0"]["events_forwarded"] == 1
+        assert stats["b3"]["deliveries"] == 1
 
 
 class TestDht:

@@ -7,7 +7,6 @@ from repro.pubsub.subscriptions import (
     Operator,
     Predicate,
     Subscription,
-    SubscriptionTable,
     TopicSubscription,
     minimal_cover,
     topic_subscription,
@@ -84,6 +83,19 @@ class TestPredicateCovering:
         assert Predicate("t", Operator.CONTAINS, "feed").covers(
             Predicate("t", Operator.EQ, "myfeed.rss")
         )
+
+    def test_strict_bound_covers_closed_bound_only_from_inside(self):
+        # ``p > 5`` misses p = 5, which ``p >= 5`` and ``p == 5`` match.
+        for strict, closed, inside, outside in (
+            (Operator.GT, Operator.GE, 6, 5),
+            (Operator.LT, Operator.LE, 4, 5),
+        ):
+            assert not Predicate("p", strict, outside).covers(Predicate("p", closed, 5))
+            assert not Predicate("p", strict, outside).covers(Predicate("p", Operator.EQ, 5))
+            assert Predicate("p", strict, outside).covers(Predicate("p", strict, 5))
+            assert Predicate("p", strict, 5).covers(Predicate("p", closed, inside))
+            assert Predicate("p", strict, 5).covers(Predicate("p", Operator.EQ, inside))
+            assert Predicate("p", closed, 5).covers(Predicate("p", strict, 5))
 
     def test_identical_predicates_cover(self):
         predicate = Predicate("p", Operator.EQ, 1)
@@ -167,30 +179,6 @@ class TestTopicSubscription:
     def test_empty_topic_rejected(self):
         with pytest.raises(ValueError):
             TopicSubscription(topic="")
-
-
-class TestSubscriptionTable:
-    def test_add_remove_and_lookup(self):
-        table = SubscriptionTable()
-        subscription = topic_subscription("news.story", "topic", "sports", subscriber="alice")
-        table.add(subscription)
-        assert len(table) == 1
-        assert subscription.subscription_id in table
-        assert table.get(subscription.subscription_id) is subscription
-        assert table.for_subscriber("alice") == [subscription]
-        removed = table.remove(subscription.subscription_id)
-        assert removed is subscription
-        assert len(table) == 0
-        assert table.remove("nope") is None
-
-    def test_matching(self):
-        table = SubscriptionTable()
-        sports = topic_subscription("news.story", "topic", "sports", subscriber="a")
-        politics = topic_subscription("news.story", "topic", "politics", subscriber="b")
-        table.add(sports)
-        table.add(politics)
-        matched = table.matching(make_event(topic="sports"))
-        assert matched == [sports]
 
 
 class TestMinimalCover:
@@ -576,19 +564,6 @@ class TestPredicatePool:
         assert stats["predicates"] >= 1
         assert stats["signatures"] >= 1
         assert stats["subscribers"] >= 2
-
-    def test_pickle_drops_process_local_memos(self):
-        import pickle
-
-        sub = topic_subscription("news.story", "topic", "sports", subscriber="u")
-        sub.interned_shape()  # populate the memo
-        assert "_interned_shape" in sub.__dict__
-        clone = pickle.loads(pickle.dumps(sub))
-        assert "_interned_shape" not in clone.__dict__
-        assert clone == sub
-        # The clone re-interns lazily and agrees with the original.
-        assert clone.signature_id() == sub.signature_id()
-        assert clone.predicates[0] is sub.predicates[0]
 
     def test_covers_fast_path_matches_semantics(self):
         p_topic = Predicate("topic", Operator.EQ, "sports")
